@@ -1,13 +1,17 @@
 //! Locality studies on the cache simulator: tiled vs untiled matmul and
-//! interchanged vs original stencil walks. The harness measures the
-//! simulation throughput; the *miss-rate shape* (who wins, by how much)
-//! is asserted here and reported in EXPERIMENTS.md.
+//! interchanged vs original stencil walks, plus one whole
+//! `Goal::Locality` search, whose time is almost all cache simulation.
+//! The harness measures the simulation throughput; the *miss-rate shape*
+//! (who wins, by how much) is asserted here and reported in
+//! EXPERIMENTS.md. `BENCH_13.json` records the medians.
 
 use irlt_bench::matmul;
 use irlt_cachesim::{simulate_nest, AddressMap, CacheConfig, Order};
 use irlt_core::TransformSeq;
+use irlt_dependence::analyze_dependences;
 use irlt_harness::timing::{black_box, Runner};
 use irlt_ir::{parse_nest, Expr};
+use irlt_opt::{search, Goal, LocalityGoal, MoveCatalog, SearchConfig};
 
 fn map_for_matmul(n: u64) -> AddressMap {
     let mut map = AddressMap::new(Order::ColMajor, 8);
@@ -52,7 +56,7 @@ fn matmul_tiling(r: &mut Runner) {
             .expect("valid")
             .apply(&nest)
             .expect("legal");
-        r.bench(&format!("locality/matmul/tiled/{bs}"), || {
+        r.bench(&format!("locality/matmul/tiled{bs}"), || {
             black_box(simulate_nest(&t, &[("n", n)], &map, CFG).expect("simulates"))
         });
     }
@@ -90,9 +94,49 @@ fn stencil_walk_order(r: &mut Runner) {
     });
 }
 
+/// The `locality` benchmark workload's largest copy job: a beam search
+/// over the locality moves, scoring every legal candidate by simulating
+/// it on a cache smaller than either array.
+fn copy_search(r: &mut Runner) {
+    let nest = parse_nest("do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo")
+        .expect("parses");
+    let deps = analyze_dependences(&nest);
+    let n: i64 = 32;
+    let mut map = AddressMap::new(Order::ColMajor, 8);
+    map.declare("a", &[n as u64, n as u64]);
+    map.declare("b", &[n as u64, n as u64]);
+    let goal = Goal::Locality(LocalityGoal {
+        params: vec![("n".into(), n)],
+        map,
+        cache: CacheConfig {
+            size_bytes: 2048,
+            line_bytes: 64,
+            associativity: 2,
+        },
+    });
+    let config = SearchConfig {
+        catalog: MoveCatalog::locality(),
+        max_steps: 2,
+        beam_width: 4,
+        ..SearchConfig::default()
+    };
+    // The row-major walk of column-major arrays is the wrong order: the
+    // search must find a better one.
+    let found = search(&nest, &deps, &goal, &config);
+    assert!(
+        found.best.score > goal.score(&nest).expect("scores"),
+        "search should beat the original order: {found}"
+    );
+
+    r.bench("locality/search/copy32", || {
+        black_box(search(&nest, &deps, &goal, &config))
+    });
+}
+
 fn main() {
     let mut r = Runner::default();
     matmul_tiling(&mut r);
     stencil_walk_order(&mut r);
+    copy_search(&mut r);
     r.finish();
 }

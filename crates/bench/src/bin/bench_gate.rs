@@ -1,11 +1,13 @@
 //! Soft bench regression gate for CI.
 //!
-//! Reads the one-shot output of the search or driver benches (the
-//! `cargo test`-mode smoke lines printed by `irlt-harness`'s timing
-//! runner, e.g. `search/matmul/incremental  21.30 ms (one-shot)` or
-//! `driver/corpus64/t4  310 ms (one-shot)`), compares each wall time
-//! against the recorded baseline median for the same workload/engine
-//! (`BENCH_3.json` for `search/`, `BENCH_5.json` for `driver/`), and
+//! Reads the one-shot output of the search, driver or locality benches
+//! (the `cargo test`-mode smoke lines printed by `irlt-harness`'s timing
+//! runner, e.g. `search/matmul/incremental  21.30 ms (one-shot)`,
+//! `driver/corpus64/t4  310 ms (one-shot)` or
+//! `locality/search/copy32  22.24 ms (one-shot)`), compares each wall
+//! time against the recorded baseline median for the same
+//! workload/engine (`BENCH_3.json` for `search/`, `BENCH_8.json` for
+//! `driver/`, `BENCH_13.json` for `locality/`), and
 //! emits a GitHub Actions `::warning::` annotation when a one-shot time
 //! exceeds the recorded median by more than the tolerance factor
 //! (default 3×, generous because CI runners are noisy and a one-shot is
@@ -46,8 +48,9 @@ fn parse_duration_ms(num: &str, unit: &str) -> Option<f64> {
     Some(v * scale)
 }
 
-/// Extracts `search/<workload>/<engine>` and `driver/<workload>/<mode>`
-/// one-shot lines from the smoke output; unrelated lines are ignored.
+/// Extracts `search/<workload>/<engine>`, `driver/<workload>/<mode>` and
+/// `locality/<workload>/<variant>` one-shot lines from the smoke output;
+/// unrelated lines are ignored.
 fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
     let mut out = Vec::new();
     for line in text.lines() {
@@ -59,7 +62,7 @@ fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
             continue;
         };
         let parts: Vec<&str> = name.split('/').collect();
-        let [group @ ("search" | "driver"), workload, engine] = parts[..] else {
+        let [group @ ("search" | "driver" | "locality"), workload, engine] = parts[..] else {
             continue;
         };
         if let Some(ms) = parse_duration_ms(num, unit) {
@@ -225,8 +228,8 @@ fn main() -> ExitCode {
     let oneshots = parse_oneshot_lines(&oneshot_text);
     if oneshots.is_empty() {
         eprintln!(
-            "bench_gate: no `search/*/*` or `driver/*/*` one-shot lines in {oneshot_path} — \
-             did the bench output format change?"
+            "bench_gate: no `search/*/*`, `driver/*/*` or `locality/*/*` one-shot lines in \
+             {oneshot_path} — did the bench output format change?"
         );
         return ExitCode::from(2);
     }
@@ -297,16 +300,20 @@ warming up\n\
 search/matmul/scratch  79.00 ms (one-shot)\n\
 search/matmul/incremental  21.30 ms (one-shot)\n\
 driver/corpus64/t4  310.0 ms (one-shot)\n\
+locality/search/copy32  22.24 ms (one-shot)\n\
 codegen/fig7  1.2 ms (one-shot)\n\
 irlt-harness bench smoke: 9 benchmark(s) executed once, 0 filtered out\n";
         let shots = parse_oneshot_lines(text);
-        assert_eq!(shots.len(), 3);
+        assert_eq!(shots.len(), 4);
         assert_eq!(shots[0].workload, "matmul");
         assert_eq!(shots[1].engine, "incremental");
         assert!((shots[1].ms - 21.30).abs() < 1e-9);
         assert_eq!(shots[2].group, "driver");
         assert_eq!(shots[2].workload, "corpus64");
         assert_eq!(shots[2].engine, "t4");
+        assert_eq!(shots[3].group, "locality");
+        assert_eq!(shots[3].workload, "search");
+        assert_eq!(shots[3].engine, "copy32");
     }
 
     #[test]

@@ -22,11 +22,33 @@ pub enum Order {
 
 /// Declared geometry of one array.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct ArrayDecl {
+pub(crate) struct ArrayDecl {
     base: u64,
     /// Extent per dimension (subscripts are 0-based offsets from `origin`).
     dims: Vec<u64>,
     origin: Vec<i64>,
+    /// Bytes between consecutive subscripts of each dimension: the one
+    /// place the map's [`Order`] decides the layout.
+    strides: Vec<u64>,
+}
+
+impl ArrayDecl {
+    /// Byte address of the element at `indices`, or `None` when the rank
+    /// differs or a subscript falls outside its extent.
+    pub(crate) fn locate(&self, indices: &[i64]) -> Option<u64> {
+        if indices.len() != self.dims.len() {
+            return None;
+        }
+        let mut addr = self.base;
+        for (k, &ix) in indices.iter().enumerate() {
+            let off = ix - self.origin[k];
+            if off < 0 || off as u64 >= self.dims[k] {
+                return None;
+            }
+            addr += off as u64 * self.strides[k];
+        }
+        Some(addr)
+    }
 }
 
 /// The address map: declare arrays, then translate accesses.
@@ -103,10 +125,23 @@ impl AddressMap {
         assert_eq!(dims.len(), origin.len(), "dims/origin mismatch");
         assert!(dims.iter().all(|&d| d > 0), "zero-extent dimension");
         let len: u64 = dims.iter().product::<u64>() * self.elem_bytes;
+        // Row-major: the last subscript is unit-stride; column-major: the
+        // first.
+        let mut strides = vec![0; dims.len()];
+        let mut stride = self.elem_bytes;
+        let mut fix = |k: usize| {
+            strides[k] = stride;
+            stride *= dims[k];
+        };
+        match self.order {
+            Order::RowMajor => (0..dims.len()).rev().for_each(&mut fix),
+            Order::ColMajor => (0..dims.len()).for_each(&mut fix),
+        }
         let decl = ArrayDecl {
             base: self.next_base,
             dims: dims.to_vec(),
             origin: origin.to_vec(),
+            strides,
         };
         // Pad bases to 4096 to keep arrays page-disjoint (prevents false
         // line sharing between arrays from muddying locality studies).
@@ -122,41 +157,17 @@ impl AddressMap {
     /// Returns [`AddressError`] for undeclared arrays or out-of-bounds
     /// subscripts.
     pub fn address(&self, array: &Symbol, indices: &[i64]) -> Result<u64, AddressError> {
-        let decl = self.arrays.get(array).ok_or_else(|| AddressError {
-            array: array.clone(),
-            indices: indices.to_vec(),
-        })?;
-        if indices.len() != decl.dims.len() {
-            return Err(AddressError {
+        self.decl(array)
+            .and_then(|decl| decl.locate(indices))
+            .ok_or_else(|| AddressError {
                 array: array.clone(),
                 indices: indices.to_vec(),
-            });
-        }
-        let mut offsets = Vec::with_capacity(indices.len());
-        for (k, &ix) in indices.iter().enumerate() {
-            let off = ix - decl.origin[k];
-            if off < 0 || off as u64 >= decl.dims[k] {
-                return Err(AddressError {
-                    array: array.clone(),
-                    indices: indices.to_vec(),
-                });
-            }
-            offsets.push(off as u64);
-        }
-        let mut linear = 0u64;
-        match self.order {
-            Order::RowMajor => {
-                for (k, &off) in offsets.iter().enumerate() {
-                    linear = linear * decl.dims[k] + off;
-                }
-            }
-            Order::ColMajor => {
-                for k in (0..offsets.len()).rev() {
-                    linear = linear * decl.dims[k] + offsets[k];
-                }
-            }
-        }
-        Ok(decl.base + linear * self.elem_bytes)
+            })
+    }
+
+    /// The declaration of `array`, if any.
+    pub(crate) fn decl(&self, array: &Symbol) -> Option<&ArrayDecl> {
+        self.arrays.get(array)
     }
 
     /// Translates a whole trace, feeding each address into `sink`.

@@ -9,8 +9,13 @@
 //! * [`Cache`] — set-associative LRU with hit/miss counters;
 //! * [`AddressMap`] — array declarations with row-/column-major
 //!   linearization and page-disjoint bases;
-//! * [`simulate_nest`] — execute a nest (via `irlt-interp`), replay its
-//!   access trace against a cache, and report counters;
+//! * [`stream_addresses`] — the byte address of every access a nest
+//!   makes, in the order `irlt-interp` would record them, computed by an
+//!   address-only streaming executor (no array values, no trace buffer);
+//!   nests whose addresses or control flow depend on array values run
+//!   through the interpreter's access trace instead;
+//! * [`simulate_nest`] — feed that stream through a cache and report
+//!   counters;
 //! * [`Hierarchy`] — a two-level (L1/L2) inclusive hierarchy with a
 //!   weighted cost model.
 //!
@@ -35,8 +40,9 @@ mod cache;
 mod hierarchy;
 mod layout;
 mod sim;
+mod stream;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{Hierarchy, Latencies};
 pub use layout::{AddressError, AddressMap, Order};
-pub use sim::{simulate_nest, simulate_nest_observed, SimError, SimResult};
+pub use sim::{simulate_nest, simulate_nest_observed, stream_addresses, SimError, SimResult};

@@ -1,8 +1,13 @@
-//! Trace-driven nest simulation: execute a nest with the interpreter,
-//! translate its access trace to addresses, and replay it against a cache.
+//! Nest simulation: stream a nest's access addresses into a cache.
+//!
+//! The streaming executor ([`crate::stream`]) serves every nest whose
+//! addresses and control flow do not depend on array values; the reference
+//! path — execute with the interpreter, record the access trace, translate
+//! it to addresses — serves the rest and names every error.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::layout::{AddressError, AddressMap};
+use crate::stream::{Bail, Program};
 use irlt_interp::{ExecError, Executor, Memory, TraceLevel};
 use irlt_ir::LoopNest;
 use std::fmt;
@@ -54,8 +59,9 @@ impl fmt::Display for SimResult {
     }
 }
 
-/// Executes `nest` with the given parameters and replays its memory trace
-/// against a fresh cache of the given geometry.
+/// Simulates `nest` with the given parameters against a fresh cache of
+/// the given geometry: every array access's byte address (see
+/// [`stream_addresses`]) goes through the cache in execution order.
 ///
 /// # Errors
 ///
@@ -82,28 +88,121 @@ pub fn simulate_nest(
     map: &AddressMap,
     config: CacheConfig,
 ) -> Result<SimResult, SimError> {
+    simulate(nest, params, map, config).0
+}
+
+/// [`simulate_nest`], also telling whether the reference path ran.
+fn simulate(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    config: CacheConfig,
+) -> (Result<SimResult, SimError>, bool) {
+    let mut cache = Cache::new(config);
+    let (run, fell_back) = stream(nest, params, map, &mut |addr| {
+        cache.access(addr);
+    });
+    let result = run.map(|iterations| SimResult {
+        stats: cache.stats(),
+        iterations,
+    });
+    (result, fell_back)
+}
+
+/// Feeds the byte address of every array access `nest` makes, in
+/// execution order, to `sink`, and returns the number of innermost
+/// iterations executed.
+///
+/// The order is the one `irlt-interp` records: a statement's right-hand
+/// side reads in evaluation order (a divisor before its dividend), then
+/// the written element; a guard's condition before its statement. When
+/// no array value can decide control flow, an address or an error, the
+/// addresses are computed without executing values, trace buffers or
+/// per-access allocation. Every other nest — one with an array read in a
+/// bound, guard, subscript, scalar assignment or divisor, or a call to a
+/// function other than `abs`, `sgn` or `sqrt` — runs through the
+/// interpreter's access trace instead, with the same result.
+///
+/// # Errors
+///
+/// Returns [`SimError`] on execution or addressing failures, exactly as
+/// the interpreter reports them; `sink` may by then have received part
+/// of the stream.
+///
+/// # Examples
+///
+/// ```
+/// use irlt_cachesim::{stream_addresses, AddressMap, Order};
+/// use irlt_ir::parse_nest;
+///
+/// let nest = parse_nest("do i = 1, 2\n  b(i) = a(i)\nenddo")?;
+/// let mut map = AddressMap::new(Order::ColMajor, 8);
+/// map.declare("a", &[2]).declare("b", &[2]);
+/// let mut addrs = Vec::new();
+/// let iterations = stream_addresses(&nest, &[], &map, |addr| addrs.push(addr))?;
+/// assert_eq!(iterations, 2);
+/// // Read a(1), write b(1), read a(2), write b(2); `b` sits past a
+/// // one-page gap after `a`'s page.
+/// assert_eq!(addrs, [0, 8192, 8, 8200]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn stream_addresses(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    mut sink: impl FnMut(u64),
+) -> Result<usize, SimError> {
+    stream(nest, params, map, &mut sink).0
+}
+
+/// [`stream_addresses`], also telling whether the reference path ran.
+fn stream(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    sink: &mut impl FnMut(u64),
+) -> (Result<usize, SimError>, bool) {
+    let Some(program) = Program::compile(nest, map) else {
+        return (reference(nest, params, map, sink), true);
+    };
+    match program.run(params, sink) {
+        Ok(iterations) => (Ok(iterations), false),
+        // The interpreter reaches the same failure, or an execution error
+        // first (it executes the whole nest before addressing any access),
+        // so only the reference path can name the error.
+        Err(Bail) => {
+            let err = reference(nest, params, map, &mut |_| {})
+                .expect_err("the reference path fails wherever streaming does");
+            (Err(err), true)
+        }
+    }
+}
+
+/// The reference path: execute `nest` with the interpreter, recording its
+/// access trace, then translate the trace to addresses.
+fn reference(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    sink: &mut impl FnMut(u64),
+) -> Result<usize, SimError> {
     let mut ex = Executor::new();
     for &(k, v) in params {
         ex.set_param(k, v);
     }
     ex.trace(TraceLevel::Accesses);
     let run = ex.run(nest, Memory::new())?;
-    let mut cache = Cache::new(config);
-    map.drive(&run.trace, |addr| {
-        cache.access(addr);
-    })?;
-    Ok(SimResult {
-        stats: cache.stats(),
-        iterations: run.iterations,
-    })
+    map.drive(&run.trace, sink)?;
+    Ok(run.iterations)
 }
 
 /// [`simulate_nest`] fed by the observability layer: on success the cache
 /// counters are exported through `tel` under `cachesim/*` (`simulations`,
 /// `accesses`, `hits`, `misses`, `iterations`, and the per-trial
 /// `miss_ratio` stream); failed trials count under
-/// `cachesim/trial_failures`. With a disabled handle this is exactly
-/// [`simulate_nest`].
+/// `cachesim/trial_failures`, and trials that took the interpreter's
+/// reference path (see [`stream_addresses`]) under `cachesim/fallbacks`.
+/// With a disabled handle this is exactly [`simulate_nest`].
 ///
 /// # Errors
 ///
@@ -115,8 +214,11 @@ pub fn simulate_nest_observed(
     config: CacheConfig,
     tel: &irlt_obs::Telemetry,
 ) -> Result<SimResult, SimError> {
-    let result = simulate_nest(nest, params, map, config);
+    let (result, fell_back) = simulate(nest, params, map, config);
     if tel.is_enabled() {
+        if fell_back {
+            tel.incr("cachesim/fallbacks");
+        }
         match &result {
             Ok(r) => {
                 tel.incr("cachesim/simulations");
@@ -190,9 +292,12 @@ mod tests {
         assert_eq!(report.counter("cachesim/hits"), r.stats.hits);
         assert_eq!(report.counter("cachesim/accesses"), r.stats.accesses);
         assert_eq!(report.stats["cachesim/miss_ratio"].count, 1);
-        // A failed trial (unbound `n`) counts separately.
+        assert_eq!(report.counter("cachesim/fallbacks"), 0);
+        // A failed trial (unbound `n`) counts separately, and its error
+        // comes from the reference path.
         simulate_nest_observed(&nest, &[], &map, CacheConfig::l1(), &tel).unwrap_err();
         assert_eq!(tel.report().counter("cachesim/trial_failures"), 1);
+        assert_eq!(tel.report().counter("cachesim/fallbacks"), 1);
     }
 
     #[test]

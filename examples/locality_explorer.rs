@@ -27,11 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Where does tiling's benefit land? Replay the same traces through a
-/// two-level hierarchy and compare weighted costs.
+/// Where does tiling's benefit land? Stream the same address sequences
+/// through a two-level hierarchy and compare weighted costs.
 fn hierarchy_view() -> Result<(), Box<dyn std::error::Error>> {
     use irlt::cachesim::{Hierarchy, Latencies};
-    use irlt::interp::{Executor, Memory, TraceLevel};
 
     let nest = parse_nest(
         "do i = 1, n
@@ -64,12 +63,8 @@ fn hierarchy_view() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== two-level view (L1 4 KiB, L2 64 KiB, lat 4/12/100) ==");
     let run = |label: &str, nest: &LoopNest| -> Result<u64, Box<dyn std::error::Error>> {
-        let mut ex = Executor::new();
-        ex.set_param("n", n);
-        ex.trace(TraceLevel::Accesses);
-        let result = ex.run(nest, Memory::new())?;
         let mut h = Hierarchy::new(l1, l2, Latencies::default());
-        map.drive(&result.trace, |addr| h.access(addr))?;
+        stream_addresses(nest, &[("n", n)], &map, |addr| h.access(addr))?;
         println!("  {label:<8} {h}");
         Ok(h.cost())
     };

@@ -65,7 +65,8 @@ pub use irlt_unimodular as unimodular;
 pub mod prelude {
     pub use irlt_affine::{check_sequence, AffineOptions, AffineReport};
     pub use irlt_cachesim::{
-        simulate_nest, simulate_nest_observed, AddressMap, Cache, CacheConfig, Order,
+        simulate_nest, simulate_nest_observed, stream_addresses, AddressMap, Cache, CacheConfig,
+        Order,
     };
     pub use irlt_core::{
         catalog, compare_domain, cross_check, BoundsMatrices, CompareDomain, CrossCheckOutcome,

@@ -1,0 +1,405 @@
+//! `simulate_nest` streams addresses without executing array values; this
+//! suite pins it to the interpreter-trace reference, rebuilt here from
+//! public API only (`Executor` with `TraceLevel::Accesses`, then
+//! `AddressMap::drive` into a `Cache`). Every input must give an
+//! identical `Result<SimResult, SimError>` and, through
+//! `stream_addresses`, the identical address sequence; the
+//! `cachesim/fallbacks`
+//! counter must show which path served it: the streaming executor for
+//! every nest whose addresses and control flow are array-value-free and
+//! that runs without error, the reference path for everything else.
+
+use irlt_cachesim::{
+    simulate_nest_observed, stream_addresses, AddressMap, Cache, CacheConfig, Order, SimError,
+    SimResult,
+};
+use irlt_core::TransformSeq;
+use irlt_driver::demo_corpus;
+use irlt_interp::{Executor, Memory, TraceLevel};
+use irlt_ir::{parse_nest, Expr, Loop, LoopNest, Stmt};
+use irlt_obs::Telemetry;
+use irlt_opt::MoveCatalog;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
+
+/// The locality workload's cache: smaller than the arrays below.
+const SMALL: CacheConfig = CacheConfig {
+    size_bytes: 2048,
+    line_bytes: 64,
+    associativity: 2,
+};
+
+const BENCH: CacheConfig = CacheConfig {
+    size_bytes: 4 * 1024,
+    line_bytes: 64,
+    associativity: 4,
+};
+
+const COPY: &str = "do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo";
+const WAVEFRONT: &str =
+    "do i = 2, n\n do j = 2, n\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo";
+const MATMUL: &str = "do i = 1, n\n do j = 1, n\n  do k = 1, n\n   \
+                      A(i, j) = A(i, j) + B(i, k) * C(k, j)\n  enddo\n enddo\nenddo";
+
+/// The reference address stream and iteration count.
+fn reference(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+) -> Result<(Vec<u64>, usize), SimError> {
+    let mut ex = Executor::new();
+    for &(k, v) in params {
+        ex.set_param(k, v);
+    }
+    ex.trace(TraceLevel::Accesses);
+    let run = ex.run(nest, Memory::new()).map_err(SimError::Exec)?;
+    let mut addrs = Vec::new();
+    map.drive(&run.trace, |addr| addrs.push(addr))
+        .map_err(SimError::Address)?;
+    Ok((addrs, run.iterations))
+}
+
+/// Asserts that `stream_addresses` and `simulate_nest` match the reference
+/// on one input, and returns the simulation and whether the reference
+/// path served it.
+fn check(
+    label: &str,
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    config: CacheConfig,
+) -> (Result<SimResult, SimError>, bool) {
+    let want = reference(nest, params, map);
+    let mut addrs = Vec::new();
+    let streamed = stream_addresses(nest, params, map, |addr| addrs.push(addr));
+    match (&streamed, &want) {
+        (Ok(iterations), Ok((want_addrs, want_iterations))) => {
+            assert_eq!(iterations, want_iterations, "{label}: iterations\n{nest}");
+            assert!(
+                addrs == *want_addrs,
+                "{label}: address streams differ\n{nest}"
+            );
+        }
+        _ => assert_eq!(
+            streamed.as_ref().err(),
+            want.as_ref().err(),
+            "{label}: errors\n{nest}"
+        ),
+    }
+
+    let want = want.map(|(addrs, iterations)| {
+        let mut cache = Cache::new(config);
+        for addr in addrs {
+            cache.access(addr);
+        }
+        SimResult {
+            stats: cache.stats(),
+            iterations,
+        }
+    });
+    let tel = Telemetry::enabled();
+    let got = simulate_nest_observed(nest, params, map, config, &tel);
+    assert_eq!(
+        got, want,
+        "{label}: streaming and reference disagree\n{nest}"
+    );
+    (got, tel.report().counter("cachesim/fallbacks") == 1)
+}
+
+/// A nest the streaming executor must serve: it falls back only to name
+/// an error.
+fn check_streamed(
+    label: &str,
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    config: CacheConfig,
+) -> Result<SimResult, SimError> {
+    let (result, fell_back) = check(label, nest, params, map, config);
+    assert_eq!(fell_back, result.is_err(), "{label}: wrong path\n{nest}");
+    result
+}
+
+/// The reference path must serve this nest.
+fn check_fallback(label: &str, nest: &LoopNest, params: &[(&str, i64)], map: &AddressMap) {
+    let (_, fell_back) = check(label, nest, params, map, SMALL);
+    assert!(fell_back, "{label}: should not stream\n{nest}");
+}
+
+/// The bounding box of the elements `nest` touches, per array, or `None`
+/// when the nest does not execute.
+fn touched_boxes(nest: &LoopNest, params: &[(&str, i64)]) -> Option<Boxes> {
+    let mut ex = Executor::new();
+    for &(k, v) in params {
+        ex.set_param(k, v);
+    }
+    ex.trace(TraceLevel::Accesses);
+    let run = ex.run(nest, Memory::new()).ok()?;
+    let mut boxes = Boxes::new();
+    for e in &run.trace {
+        let b = boxes
+            .entry(e.array.to_string())
+            .or_insert_with(|| e.indices.iter().map(|&i| (i, i)).collect());
+        for (r, &i) in b.iter_mut().zip(&e.indices) {
+            *r = (r.0.min(i), r.1.max(i));
+        }
+    }
+    Some(boxes)
+}
+
+type Boxes = BTreeMap<String, Vec<(i64, i64)>>;
+
+/// Declares every box in `order`; `short` loses the last element of its
+/// last dimension.
+fn declare(boxes: &Boxes, order: Order, short: Option<&str>) -> AddressMap {
+    let mut map = AddressMap::new(order, 8);
+    for (name, b) in boxes {
+        let mut dims: Vec<u64> = b.iter().map(|&(lo, hi)| (hi - lo + 1) as u64).collect();
+        let origin: Vec<i64> = b.iter().map(|&(lo, _)| lo).collect();
+        if short == Some(name.as_str()) {
+            *dims.last_mut().expect("arrays have rank 1 or more") -= 1;
+        }
+        map.declare_with_origin(name.as_str(), &dims, &origin);
+    }
+    map
+}
+
+fn covering_map(nest: &LoopNest, params: &[(&str, i64)]) -> AddressMap {
+    declare(
+        &touched_boxes(nest, params).expect("nest executes"),
+        Order::ColMajor,
+        None,
+    )
+}
+
+/// `n × n` column-major arrays, as the locality search declares them.
+fn square_map(n: i64, arrays: &[&str]) -> AddressMap {
+    let mut map = AddressMap::new(Order::ColMajor, 8);
+    for a in arrays {
+        map.declare(*a, &[n as u64, n as u64]);
+    }
+    map
+}
+
+/// Checks `nest` against maps covering every element it touches, in both
+/// orders, and against maps where one array is an element short, so the
+/// last access to that array's edge fails.
+fn check_covered(label: &str, nest: &LoopNest, params: &[(&str, i64)]) {
+    let Some(boxes) = touched_boxes(nest, params) else {
+        let empty = AddressMap::new(Order::ColMajor, 8);
+        check_streamed(label, nest, params, &empty, SMALL).unwrap_err();
+        return;
+    };
+    for order in [Order::ColMajor, Order::RowMajor] {
+        check_streamed(label, nest, params, &declare(&boxes, order, None), SMALL).expect("covered");
+    }
+    for (name, b) in &boxes {
+        if b.last().is_some_and(|&(lo, hi)| hi > lo) {
+            let map = declare(&boxes, Order::ColMajor, Some(name));
+            check_streamed(label, nest, params, &map, SMALL).unwrap_err();
+        }
+    }
+}
+
+#[test]
+fn demo_corpus_nests_match_the_reference() {
+    let mut seen = BTreeSet::new();
+    for job in demo_corpus(8) {
+        if seen.insert(job.nest.to_string()) {
+            check_covered(&job.name, &job.nest, &[("n", 9), ("m", 7)]);
+        }
+    }
+    assert_eq!(seen.len(), 8);
+}
+
+#[test]
+fn locality_bench_nests_match_the_reference() {
+    let matmul = parse_nest(MATMUL).unwrap();
+    let map = square_map(24, &["A", "B", "C"]);
+    check_streamed("matmul/untiled", &matmul, &[("n", 24)], &map, BENCH).unwrap();
+    for bs in [4, 8] {
+        let tiled = TransformSeq::new(3)
+            .block(0, 2, vec![Expr::int(bs); 3])
+            .unwrap()
+            .apply(&matmul)
+            .unwrap();
+        check_streamed("matmul/tiled", &tiled, &[("n", 24)], &map, BENCH).unwrap();
+    }
+    let bad =
+        parse_nest("do i = 1, n\n do j = 1, n\n  s(1) = s(1) + a(i, j)\n enddo\nenddo").unwrap();
+    let good = TransformSeq::new(2)
+        .reverse_permute(vec![false, false], vec![1, 0])
+        .unwrap()
+        .apply(&bad)
+        .unwrap();
+    let mut map = square_map(96, &["a"]);
+    map.declare("s", &[1]);
+    let r_bad = check_streamed("stencil/row", &bad, &[("n", 96)], &map, BENCH).unwrap();
+    let r_good = check_streamed("stencil/col", &good, &[("n", 96)], &map, BENCH).unwrap();
+    assert!(r_good.stats.misses * 4 < r_bad.stats.misses);
+}
+
+#[test]
+fn fuzz_corpus_nests_match_the_reference() {
+    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fuzz"));
+    let entries = irlt_fuzz::load_dir(dir).expect("corpus must parse");
+    assert_eq!(entries.len(), 36);
+    for (path, entry) in entries {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let nest = &entry.case.nest;
+        check_covered(&name, nest, &[]);
+        if let Ok(out) = entry.case.seq.apply(nest) {
+            check_covered(&format!("{name} transformed"), &out, &[]);
+        }
+    }
+}
+
+#[test]
+fn locality_candidates_within_two_steps_match_the_reference() {
+    let catalog = MoveCatalog::locality();
+    for (src, n, arrays) in [
+        (COPY, 12, &["a", "b"][..]),
+        (WAVEFRONT, 12, &["a"][..]),
+        (MATMUL, 5, &["A", "B", "C"][..]),
+    ] {
+        let nest = parse_nest(src).unwrap();
+        let map = square_map(n, arrays);
+        let cache = CacheConfig {
+            size_bytes: 512,
+            line_bytes: 64,
+            associativity: 2,
+        };
+        let mut seen = BTreeSet::new();
+        let mut frontier = vec![TransformSeq::new(nest.depth())];
+        for _ in 0..2 {
+            let mut next = Vec::new();
+            for seq in &frontier {
+                let depth = seq.apply(&nest).unwrap().depth();
+                for t in catalog.moves(depth) {
+                    let Ok(cand) = seq.clone().push(t) else {
+                        continue;
+                    };
+                    let Ok(out) = cand.apply(&nest) else { continue };
+                    if seen.insert(out.to_string()) {
+                        check_streamed(&cand.to_string(), &out, &[("n", n)], &map, cache).unwrap();
+                        next.push(cand);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        assert!(seen.len() > 100, "{src}: only {} candidates", seen.len());
+    }
+}
+
+#[test]
+fn streamed_language_matches_the_reference() {
+    // Guards, scalar temporaries, inits, built-in calls, negative and
+    // symbolic steps, and divisions by read-free divisors all stream.
+    let mut nests: Vec<LoopNest> = [
+        "do i = 1, n\n do j = 1, i\n  if (i - j) a(i, j) = a(j, i) + 1\n enddo\nenddo",
+        "do i = 1, n\n t = i * 2\n a(t - i, 1) = a(i, 1) / (t - i) + a(1, 1) mod 3\nenddo",
+        "do ii = 1, n\n i = n + 1 - ii\n a(i, 1) = min(a(i, 1), i, -a(1, 1)) * max(2, i)\nenddo",
+        "do i = n, 1, -2\n do j = 1, sqrt(i * i) + abs(0 - 1) - 1, s\n  a(i, j) = sgn(a(j, i))\n enddo\nenddo",
+    ]
+    .iter()
+    .map(|src| parse_nest(src).unwrap_or_else(|e| panic!("{src}: {e}")))
+    .collect();
+    // No surface syntax for ceiling division.
+    let (i, j) = (Expr::var("i"), Expr::var("j"));
+    nests.push(LoopNest::new(
+        vec![
+            Loop::new("i", Expr::int(1), Expr::var("n")),
+            Loop::new("j", Expr::int(1), Expr::var("n")),
+        ],
+        vec![Stmt::array(
+            "a",
+            vec![i.clone(), j.clone()],
+            Expr::ceil_div(Expr::read("a", vec![j, i.clone()]), i),
+        )],
+    ));
+    let params = [("n", 9), ("s", 2)];
+    for nest in &nests {
+        let map = covering_map(nest, &params);
+        check_streamed("language", nest, &params, &map, SMALL).unwrap();
+    }
+}
+
+#[test]
+fn value_dependent_nests_and_errors_match_the_reference() {
+    let mut zero_based = AddressMap::new(Order::ColMajor, 8);
+    zero_based
+        .declare_with_origin("a", &[10], &[0])
+        .declare("b", &[10])
+        .declare("c", &[10])
+        .declare("idx", &[10])
+        .declare("mask", &[10]);
+    // An array value decides an address, a guard or an error: the
+    // reference path serves the nest, and gives the same answer.
+    for src in [
+        "do i = 1, n\n a(idx(i)) = 0\nenddo",
+        "do i = 1, n\n if (mask(i)) a(i) = b(i)\nenddo",
+        "do i = 1, n\n a(i) = b(i) / c(i)\nenddo",
+        "do i = 1, n\n t = b(i)\n a(i) = t\nenddo",
+    ] {
+        check_fallback(src, &parse_nest(src).unwrap(), &[("n", 9)], &zero_based);
+    }
+    // No surface syntax for these: a bound that reads an array, and calls
+    // other than the one-argument built-ins, which the reference rejects.
+    let i = Expr::var("i");
+    for (upper, value) in [
+        (Expr::read("b", vec![Expr::int(1)]), Expr::int(0)),
+        (Expr::var("n"), Expr::call("colstr", vec![i.clone()])),
+        (
+            Expr::var("n"),
+            Expr::call("abs", vec![i.clone(), i.clone()]),
+        ),
+    ] {
+        let nest = LoopNest::new(
+            vec![Loop::new("i", Expr::int(1), upper)],
+            vec![Stmt::array("a", vec![i.clone()], value)],
+        );
+        check_fallback("bound or call", &nest, &[("n", 9)], &zero_based);
+    }
+    // Errors the streaming run meets are named by the reference path.
+    let copy = parse_nest("do i = 1, n\n b(i) = a(i)\nenddo").unwrap();
+    let mut map = AddressMap::new(Order::ColMajor, 8);
+    map.declare("a", &[8]).declare("b", &[8]);
+    let unbound = check_streamed("unbound n", &copy, &[], &map, SMALL).unwrap_err();
+    assert!(unbound.to_string().contains("`n`"), "{unbound}");
+    let oob = check_streamed("out of bounds", &copy, &[("n", 9)], &map, SMALL).unwrap_err();
+    assert!(
+        matches!(oob, SimError::Address(ref e) if e.indices == [9]),
+        "{oob}"
+    );
+    let mut undeclared = AddressMap::new(Order::ColMajor, 8);
+    undeclared.declare("a", &[8]);
+    let e = check_streamed("undeclared", &copy, &[("n", 4)], &undeclared, SMALL).unwrap_err();
+    assert!(e.to_string().contains('b'), "{e}");
+    let rank = parse_nest("do i = 1, n\n b(i, i) = a(i)\nenddo").unwrap();
+    check_streamed("rank", &rank, &[("n", 4)], &map, SMALL).unwrap_err();
+    let step = parse_nest("do i = 1, 8, s\n b(i) = a(i)\nenddo").unwrap();
+    check_streamed("zero step", &step, &[("s", 0)], &map, SMALL).unwrap_err();
+    // A loop index shadowing a parameter leaves it unbound once the loop
+    // ends, so the second `i` iteration cannot evaluate `j`'s bound (the
+    // parser rejects such a bound; the IR does not).
+    let j = Expr::var("j");
+    let shadow = LoopNest::new(
+        vec![
+            Loop::new("i", Expr::int(1), Expr::int(2)),
+            Loop::new("j", Expr::int(1), j.clone()),
+        ],
+        vec![Stmt::array("b", vec![j.clone()], Expr::read("a", vec![j]))],
+    );
+    check_streamed("shadowed parameter", &shadow, &[("j", 3)], &map, SMALL).unwrap_err();
+    let operand = parse_nest("do i = 1, n\n b(i) = a(i) + q\nenddo").unwrap();
+    check_streamed("unbound operand", &operand, &[("n", 8)], &map, SMALL).unwrap_err();
+    let div = parse_nest("do i = 1, n\n b(i) = a(i) / (i - 3)\nenddo").unwrap();
+    check_streamed("division by zero", &div, &[("n", 8)], &map, SMALL).unwrap_err();
+    // An execution error after an out-of-bounds access: the interpreter
+    // executes the whole nest before addressing it, so the execution
+    // error wins.
+    let late = parse_nest("do i = 1, n\n b(i + 7) = a(i) / (i - 3)\nenddo").unwrap();
+    let e = check_streamed("late exec error", &late, &[("n", 8)], &map, SMALL).unwrap_err();
+    assert!(matches!(e, SimError::Exec(_)), "{e}");
+}
