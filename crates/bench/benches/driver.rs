@@ -1,8 +1,7 @@
 //! Batch-driver throughput: the 64-nest demo corpus through
 //! `irlt_driver::run_batch` at 1, 4, and 8 worker threads with the
 //! cross-nest [`SharedLegalityCache`] on, plus a `fresh` serial baseline
-//! with the cache off, plus a deeper-search workload comparing the two
-//! cache key representations.
+//! with the cache off, plus a deeper-search workload.
 //!
 //! Three effects are measured:
 //!
@@ -13,13 +12,12 @@
 //!   independent of core count. The demo corpus repeats each of its 8
 //!   nest shapes 8 times, the duplicate-heavy profile real compilation
 //!   units show.
-//! * **Key representation** (`deep64/fp` vs `deep64/display`) — the same
-//!   64 jobs at acceptance-search settings (max_steps 5, beam 16), where
-//!   per-probe key cost dominates: `fp` keys the shared cache on interned
-//!   fingerprint ids (`KeyMode::Fingerprint`, zero allocation per probe),
-//!   `display` keeps the PR 5 rendered-string representation
-//!   (`KeyMode::Display`) measured in the same bench for an
-//!   apples-to-apples comparison.
+//! * **Deep search** (`deep64/fp`) — the same 64 jobs at
+//!   acceptance-search settings (max_steps 5, beam 16), where per-probe
+//!   key cost dominates; the shared cache keys on interned fingerprint
+//!   ids (zero allocation per probe). The retired rendered-string key
+//!   representation's `display_ms` row stays in `BENCH_6.json` and
+//!   `BENCH_8.json` as history.
 //!
 //! PR 8 adds two more effects:
 //!
@@ -39,12 +37,11 @@
 //!   across its 8x-repeated shapes.
 //!
 //! Results are bit-identical across all rows of a workload by the
-//! driver's determinism contract (`tests/driver.rs` and the key-mode
+//! driver's determinism contract (`tests/driver.rs` and the shard-count
 //! properties pin this); only time may differ.
 //!
 //! [`SharedLegalityCache`]: irlt_core::SharedLegalityCache
 
-use irlt_core::KeyMode;
 use irlt_driver::{demo_corpus, run_batch, BatchConfig, Job};
 use irlt_harness::timing::{black_box, Runner};
 use irlt_obs::Telemetry;
@@ -84,17 +81,14 @@ fn main() {
         });
     }
     let deep = deep_corpus(64);
-    for (name, key_mode) in [("fp", KeyMode::Fingerprint), ("display", KeyMode::Display)] {
-        let cfg = BatchConfig {
-            threads: 1,
-            key_mode,
-            telemetry: telemetry.clone(),
-            ..BatchConfig::default()
-        };
-        r.bench(&format!("driver/deep64/{name}"), || {
-            black_box(run_batch(black_box(&deep), &cfg))
-        });
-    }
+    let deep_cfg = BatchConfig {
+        threads: 1,
+        telemetry: telemetry.clone(),
+        ..BatchConfig::default()
+    };
+    r.bench("driver/deep64/fp", || {
+        black_box(run_batch(black_box(&deep), &deep_cfg))
+    });
     // Lock striping at one thread: pure overhead comparison.
     for (name, shards) in [("s1", 1usize), ("s16", 16)] {
         let cfg = BatchConfig {

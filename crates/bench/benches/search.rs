@@ -1,14 +1,14 @@
-//! End-to-end beam-search throughput: the incremental legality engine
+//! End-to-end beam-search throughput on the incremental legality engine
 //! (prefix-cached dependence mapping + fail-fast, §5's "arbitrary levels
-//! of search and undo" made cheap) against the from-scratch path that
-//! replays every candidate through `TransformSeq::is_legal`.
+//! of search and undo" made cheap).
 //!
 //! Three workloads: the Fig. 1(a) stencil (wavefront discovery), the
 //! Fig. 6 matrix multiply at the deep acceptance configuration
 //! (`max_steps: 5, beam_width: 16`), and a depth-4 rectangular nest.
-//! `search/*/scratch` rows are the recorded `BENCH_3.json` baseline;
-//! `search/*/incremental` and `search/*/parallel` are the new engine,
-//! serial and with 4 workers.
+//! `search/*/incremental` and `search/*/parallel` run the engine serially
+//! and with 4 workers. The retired from-scratch engine, which replayed
+//! every candidate through `TransformSeq::is_legal`, is recorded as the
+//! `scratch_ms` rows of `BENCH_3.json`.
 //!
 //! `IRLT_TELEMETRY=path.json` turns the run into a telemetry capture:
 //! every search records through one shared handle and the aggregated JSON
@@ -31,36 +31,16 @@ struct Workload {
     base: SearchConfig,
 }
 
-fn engines(base: &SearchConfig) -> [(&'static str, SearchConfig); 3] {
-    [
+fn engines(base: &SearchConfig) -> [(&'static str, SearchConfig); 2] {
+    [("incremental", 1), ("parallel", 4)].map(|(engine, threads)| {
         (
-            "scratch",
+            engine,
             SearchConfig {
-                incremental: false,
-                prune: false,
-                threads: 1,
+                threads,
                 ..base.clone()
             },
-        ),
-        (
-            "incremental",
-            SearchConfig {
-                incremental: true,
-                prune: true,
-                threads: 1,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel",
-            SearchConfig {
-                incremental: true,
-                prune: true,
-                threads: 4,
-                ..base.clone()
-            },
-        ),
-    ]
+        )
+    })
 }
 
 fn bench_workload(r: &mut Runner, w: &Workload) {

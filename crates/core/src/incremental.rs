@@ -90,9 +90,9 @@ pub struct SeqState {
     shared: Option<SharedLegalityCache>,
     /// Identity tag for cross-job hit accounting in the shared cache.
     owner: u64,
-    /// This state's precomputed cache key (interned ids, or the rendered
-    /// triple in legacy mode); kept in lock-step with
-    /// `(prune, shape, mapped)` whenever `shared` is attached.
+    /// This state's precomputed cache key (interned ids); kept in
+    /// lock-step with `(prune, shape, mapped)` whenever `shared` is
+    /// attached.
     skey: Option<StateKey>,
 }
 
@@ -233,9 +233,9 @@ impl SeqState {
     #[doc(hidden)]
     pub fn shared_probe(&self, template: &Template) -> Option<bool> {
         let cache = self.shared.as_ref()?;
-        let skey = self.skey.as_ref()?;
+        let skey = self.skey?;
         let tkey = cache.template_key(template);
-        Some(cache.lookup(skey, &tkey, self.owner).is_some())
+        Some(cache.lookup(skey, tkey, self.owner).is_some())
     }
 
     /// Extends the prefix by one built-in template instantiation,
@@ -283,15 +283,12 @@ impl SeqState {
         // never cached (their rendering does not pin their semantics).
         // The template key is computed once here and reused by the
         // lookup and any deposit; the state key was computed when this
-        // state was created. Nothing on this path renders a string in
-        // fingerprint mode.
-        let shared_key = match (&self.shared, &self.skey, &step) {
-            (Some(cache), Some(skey), Step::Builtin(t)) => {
-                Some((skey.clone(), cache.template_key(t)))
-            }
+        // state was created. Nothing on this path renders a string.
+        let shared_key = match (&self.shared, self.skey, &step) {
+            (Some(cache), Some(skey), Step::Builtin(t)) => Some((skey, cache.template_key(t))),
             _ => None,
         };
-        if let (Some(cache), Some((skey, tkey))) = (&self.shared, &shared_key) {
+        if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
             if tel.is_enabled() {
                 tel.incr("legality/key/probes");
             }
@@ -326,10 +323,10 @@ impl SeqState {
             }
         }
         let deposit_illegal = |reason: &IllegalReason| {
-            if let (Some(cache), Some((skey, tkey))) = (&self.shared, &shared_key) {
+            if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
                 cache.insert(
-                    skey.clone(),
-                    tkey.clone(),
+                    skey,
+                    tkey,
                     CachedOutcome::Illegal(reason.clone()),
                     self.owner,
                 );
@@ -391,7 +388,7 @@ impl SeqState {
                     CachedOutcome::Legal {
                         shape: Arc::clone(&shape),
                         mapped: Arc::clone(&mapped),
-                        key: child_key.clone(),
+                        key: child_key,
                     },
                     self.owner,
                 );

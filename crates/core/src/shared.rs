@@ -16,25 +16,18 @@
 //!
 //! # Keying: interned structural ids
 //!
-//! In the default [`KeyMode::Fingerprint`] mode, the shape, the mapped
-//! set, and the template are interned into per-cache pools
-//! ([`irlt_dependence::Interner`]) keyed by 128-bit structural
-//! fingerprints with exact-equality verification on every bucket hit. A
-//! probe key is then four machine words — `(prune, shape_id, mapped_id,
-//! template_id)`, all `Copy` — and because interned ids are *exact*
-//! (equal ids ⟺ equal values), a hit can never conflate two distinct
-//! subproblems: verdicts and mapped sets out of the cache are
-//! bit-identical to recomputation, which the workspace's
+//! The shape, the mapped set, and the template are interned into
+//! per-cache pools ([`irlt_dependence::Interner`]) keyed by 128-bit
+//! structural fingerprints with exact-equality verification on every
+//! bucket hit. A probe key is then four machine words — `(prune,
+//! shape_id, mapped_id, template_id)`, all `Copy` — and because interned
+//! ids are *exact* (equal ids ⟺ equal values), a hit can never conflate
+//! two distinct subproblems: verdicts and mapped sets out of the cache
+//! are bit-identical to recomputation, which the workspace's
 //! `shared_cache_matches_fresh` differential property asserts over
 //! generated corpora. No string is rendered and no allocation happens on
 //! the probe path; interning happens once per *state* (not per probe),
 //! and cross-nest hits share one `Arc` per distinct shape and mapped set.
-//!
-//! [`KeyMode::Display`] preserves the PR 5 representation — entries keyed
-//! by the `Display` rendering of the triple and the template, which the
-//! print→parse round-trip property pins as injective — so the two key
-//! paths can be benchmarked against each other in the same binary
-//! (`BENCH_6.json` deep-search rows). It is not used by default.
 //!
 //! # Sharding
 //!
@@ -68,7 +61,7 @@
 //!
 //! # Persistence
 //!
-//! A fingerprint-mode cache can be serialized to a versioned
+//! A cache can be serialized to a versioned
 //! `irlt-cache/v1` artifact and re-loaded in a later process
 //! ([`SharedLegalityCache::save_snapshot`] /
 //! [`SharedLegalityCache::load_snapshot`], format spec in
@@ -94,80 +87,51 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-/// How the cache keys its entries. See the [module docs](self).
+/// How the cache keys its entries: always interned structural
+/// fingerprints (see the [module docs](self)).
+///
+/// The enum has one variant and the cache neither stores nor branches on
+/// it. It survives only so that
+/// [`with_config`](SharedLegalityCache::with_config) keeps its
+/// `(capacity, shards, KeyMode)` signature for existing callers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KeyMode {
     /// Interned structural fingerprints: `Copy` probe keys, no rendering,
-    /// no allocation on the probe path. The default.
+    /// no allocation on the probe path.
     #[default]
     Fingerprint,
-    /// The PR 5 legacy representation: keys are the `Display` renderings
-    /// of the state triple and the template. Kept so the two key paths
-    /// can be measured against each other in one bench binary.
-    Display,
 }
 
-/// A state's identity under the cache's key mode: interned ids in
-/// fingerprint mode, the rendered triple in legacy mode.
-///
-/// Cloning never allocates (ids are `Copy`; the rendered form is behind
-/// an `Arc`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum StateKey {
-    /// `(prune, shape_id, mapped_id)` — ids from this cache's interners.
-    Fp {
-        prune: bool,
-        shape: u32,
-        mapped: u32,
-    },
-    /// `"p{0|1}|{shape}|{mapped}"` (legacy).
-    Str(Arc<str>),
+/// A state's identity: `(prune, shape_id, mapped_id)`, ids from this
+/// cache's interners.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct StateKey {
+    pub(crate) prune: bool,
+    pub(crate) shape: u32,
+    pub(crate) mapped: u32,
 }
 
-/// A template's identity under the cache's key mode.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum TemplateKey {
-    /// Interned template id (exact: equal ids ⟺ equal templates).
-    Id(u32),
-    /// The template's `Display` rendering (legacy).
-    Str(Arc<str>),
-}
+/// A template's interned id (exact: equal ids ⟺ equal templates).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct TemplateKey(pub(crate) u32);
 
-/// The composite map key: state key × template key, flattened so the
-/// fingerprint-mode variant is a few `Copy` words with derived `Hash`.
-///
-/// Constructing either variant is allocation-free (satellite fix over
-/// the PR 5 probe, which rebuilt the template `String` per lookup):
-/// fingerprint keys are `Copy` words, legacy keys are `Arc` bumps.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum ProbeKey {
-    Fp {
-        prune: bool,
-        shape: u32,
-        mapped: u32,
-        template: u32,
-    },
-    Str(Arc<str>, Arc<str>),
+/// The composite map key: state key × template key, flattened into a few
+/// `Copy` words with derived `Hash`, so building one never allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct ProbeKey {
+    pub(crate) prune: bool,
+    pub(crate) shape: u32,
+    pub(crate) mapped: u32,
+    pub(crate) template: u32,
 }
 
 impl ProbeKey {
-    pub(crate) fn new(state: &StateKey, template: &TemplateKey) -> ProbeKey {
-        match (state, template) {
-            (
-                &StateKey::Fp {
-                    prune,
-                    shape,
-                    mapped,
-                },
-                &TemplateKey::Id(template),
-            ) => ProbeKey::Fp {
-                prune,
-                shape,
-                mapped,
-                template,
-            },
-            (StateKey::Str(s), TemplateKey::Str(t)) => ProbeKey::Str(s.clone(), t.clone()),
-            _ => unreachable!("state and template keys always share the cache's key mode"),
+    pub(crate) fn new(state: StateKey, template: TemplateKey) -> ProbeKey {
+        ProbeKey {
+            prune: state.prune,
+            shape: state.shape,
+            mapped: state.mapped,
+            template: template.0,
         }
     }
 }
@@ -211,7 +175,7 @@ pub struct SharedCacheStats {
     /// cost is directly observable as `legality/key/probes`).
     pub key_probes: u64,
     /// Distinct values resident across the three interner pools
-    /// (shapes + mapped sets + templates); 0 in `Display` mode.
+    /// (shapes + mapped sets + templates).
     pub interned_values: u64,
     /// Interning requests answered by an existing entry (storage shared).
     pub interner_hits: u64,
@@ -273,7 +237,7 @@ pub struct ShardStats {
     pub entries: u64,
 }
 
-/// The three interner pools backing fingerprint-mode keys.
+/// The three interner pools backing the cache keys.
 #[derive(Default)]
 pub(crate) struct Pools {
     pub(crate) shapes: Interner<LoopNest>,
@@ -354,7 +318,6 @@ struct Inner {
     /// Per-shard entry bound (total capacity divided evenly, min 1).
     shard_capacity: usize,
     pools: Mutex<Pools>,
-    mode: KeyMode,
     capacity: usize,
     cross_hits: AtomicU64,
     inserts: AtomicU64,
@@ -415,7 +378,6 @@ impl fmt::Debug for SharedLegalityCache {
         f.debug_struct("SharedLegalityCache")
             .field("capacity", &self.inner.capacity)
             .field("shards", &self.inner.shards.len())
-            .field("mode", &self.inner.mode)
             .field("stats", &self.stats())
             .finish()
     }
@@ -463,17 +425,10 @@ impl SharedLegalityCache {
         SharedLegalityCache::with_config(capacity, shards, KeyMode::default())
     }
 
-    /// A cache with an explicit [`KeyMode`] (legacy `Display` keys exist
-    /// for representation benchmarking; results are identical) and an
-    /// automatic shard count.
-    pub fn with_capacity_and_mode(capacity: usize, mode: KeyMode) -> SharedLegalityCache {
-        SharedLegalityCache::with_config(capacity, 0, mode)
-    }
-
-    /// The fully explicit constructor: capacity, shard count (`0` =
+    /// The fully explicit constructor: capacity and shard count (`0` =
     /// automatic, otherwise rounded up to a power of two and capped at
-    /// 4096), and key mode.
-    pub fn with_config(capacity: usize, shards: usize, mode: KeyMode) -> SharedLegalityCache {
+    /// 4096). The [`KeyMode`] argument has a single value and is ignored.
+    pub fn with_config(capacity: usize, shards: usize, _mode: KeyMode) -> SharedLegalityCache {
         let shards = if shards == 0 {
             auto_shards()
         } else {
@@ -487,7 +442,6 @@ impl SharedLegalityCache {
                 shard_mask: (shards - 1) as u128,
                 shard_capacity,
                 pools: Mutex::new(Pools::default()),
-                mode,
                 capacity,
                 cross_hits: AtomicU64::new(0),
                 inserts: AtomicU64::new(0),
@@ -498,27 +452,16 @@ impl SharedLegalityCache {
         }
     }
 
-    /// The configured key mode.
-    pub fn key_mode(&self) -> KeyMode {
-        self.inner.mode
-    }
-
     /// Number of lock-striped shards.
     pub fn shard_count(&self) -> usize {
         self.inner.shards.len()
     }
 
-    /// Renders the legacy exact state key for a `(prune, shape, mapped)`
-    /// triple.
-    pub(crate) fn state_key(prune: bool, shape: &LoopNest, mapped: &DepSet) -> Arc<str> {
-        Arc::from(format!("p{}|{shape}|{mapped}", u8::from(prune)))
-    }
-
     /// The shard a probe key stripes to. The fingerprint is computed over
     /// the full key and only the low bits select the stripe; it is never
     /// stored, so stripe assignment is free to change across versions.
-    fn shard_for(&self, probe: &ProbeKey) -> &Shard {
-        &self.inner.shards[(fp128(probe) & self.inner.shard_mask) as usize]
+    fn shard_for(&self, probe: ProbeKey) -> &Shard {
+        &self.inner.shards[(fp128(&probe) & self.inner.shard_mask) as usize]
     }
 
     pub(crate) fn lock_pools(&self) -> MutexGuard<'_, Pools> {
@@ -528,10 +471,10 @@ impl SharedLegalityCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Computes a state's key under this cache's mode, interning the
-    /// shape and mapped set in fingerprint mode. Returns the key plus the
-    /// canonical (pool-shared) `Arc`s — callers should adopt them so
-    /// structurally identical states across jobs share one allocation.
+    /// Computes a state's key by interning the shape and mapped set.
+    /// Returns the key plus the canonical (pool-shared) `Arc`s — callers
+    /// should adopt them so structurally identical states across jobs
+    /// share one allocation.
     ///
     /// This is the **only** place state-key cost is paid: once per new
     /// state, never per probe.
@@ -541,66 +484,47 @@ impl SharedLegalityCache {
         shape: Arc<LoopNest>,
         mapped: Arc<DepSet>,
     ) -> (StateKey, Arc<LoopNest>, Arc<DepSet>) {
-        match self.inner.mode {
-            KeyMode::Display => {
-                let key = StateKey::Str(SharedLegalityCache::state_key(prune, &shape, &mapped));
-                (key, shape, mapped)
-            }
-            KeyMode::Fingerprint => {
-                let mut pools = self.lock_pools();
-                let s = pools.shapes.intern_arc(shape);
-                let d = pools.deps.intern_arc(mapped);
-                (
-                    StateKey::Fp {
-                        prune,
-                        shape: s.id,
-                        mapped: d.id,
-                    },
-                    s.value,
-                    d.value,
-                )
-            }
-        }
+        let mut pools = self.lock_pools();
+        let s = pools.shapes.intern_arc(shape);
+        let d = pools.deps.intern_arc(mapped);
+        (
+            StateKey {
+                prune,
+                shape: s.id,
+                mapped: d.id,
+            },
+            s.value,
+            d.value,
+        )
     }
 
-    /// Computes a template's key under this cache's mode (interned id or
-    /// rendered string). Called once per extension, shared by the lookup
-    /// and any subsequent insert.
+    /// Computes a template's key (its interned id). Called once per
+    /// extension, shared by the lookup and any subsequent insert.
     pub(crate) fn template_key(&self, template: &Template) -> TemplateKey {
-        match self.inner.mode {
-            KeyMode::Display => TemplateKey::Str(Arc::from(template.to_string())),
-            KeyMode::Fingerprint => {
-                // `intern_ref` clones only on first sight of a template;
-                // re-probes of a known template allocate nothing.
-                let mut pools = self.lock_pools();
-                TemplateKey::Id(pools.templates.intern_ref(template).id)
-            }
-        }
+        // `intern_ref` clones only on first sight of a template; re-probes
+        // of a known template allocate nothing.
+        let mut pools = self.lock_pools();
+        TemplateKey(pools.templates.intern_ref(template).id)
     }
 
     /// Looks up `(state, template)`, counting a hit (and a cross-job hit
     /// when the depositor differs from `owner`) or a miss on the key's
     /// shard.
     ///
-    /// In fingerprint mode the probe key is a few `Copy` words and this
-    /// path performs **no allocation** — including shard selection, which
-    /// is a streaming hash over those words. Interned ids are exact, so
-    /// no per-hit re-verification is needed either, and a hit hands back
-    /// the interned `Arc`s (a refcount bump, shared storage). In
-    /// `Display` mode a hit *materializes* the stored shape and mapped
-    /// set — a full deep copy per hit, exactly what the PR 5
-    /// representation paid by storing owned values in every entry — so
-    /// the deep-search bench rows compare the two representations' true
-    /// replay costs.
+    /// The probe key is a few `Copy` words and this path performs **no
+    /// allocation** — including shard selection, which is a streaming
+    /// hash over those words. Interned ids are exact, so no per-hit
+    /// re-verification is needed either, and a hit hands back the
+    /// interned `Arc`s (a refcount bump, shared storage).
     pub(crate) fn lookup(
         &self,
-        state: &StateKey,
-        template: &TemplateKey,
+        state: StateKey,
+        template: TemplateKey,
         owner: u64,
     ) -> Option<CachedOutcome> {
         self.inner.key_probes.fetch_add(1, Ordering::Relaxed);
         let probe = ProbeKey::new(state, template);
-        let shard = self.shard_for(&probe);
+        let shard = self.shard_for(probe);
         let map = shard.lock();
         match map.get(&probe) {
             Some(entry) => {
@@ -611,17 +535,7 @@ impl SharedLegalityCache {
                 if entry.owner == SharedLegalityCache::SNAPSHOT_OWNER {
                     self.inner.snapshot_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                let outcome = match (self.inner.mode, &entry.outcome) {
-                    (KeyMode::Display, CachedOutcome::Legal { shape, mapped, key }) => {
-                        CachedOutcome::Legal {
-                            shape: Arc::new(LoopNest::clone(shape)),
-                            mapped: Arc::new(DepSet::clone(mapped)),
-                            key: key.clone(),
-                        }
-                    }
-                    _ => entry.outcome.clone(),
-                };
-                Some(outcome)
+                Some(entry.outcome.clone())
             }
             None => {
                 shard.misses.fetch_add(1, Ordering::Relaxed);
@@ -639,8 +553,8 @@ impl SharedLegalityCache {
         outcome: CachedOutcome,
         owner: u64,
     ) {
-        let key = ProbeKey::new(&state, &template);
-        let shard = self.shard_for(&key);
+        let key = ProbeKey::new(state, template);
+        let shard = self.shard_for(key);
         let mut map = shard.lock();
         if map.len() >= self.inner.shard_capacity {
             shard
@@ -657,7 +571,7 @@ impl SharedLegalityCache {
     /// full — loading never evicts live entries — or when the slot is
     /// already occupied.
     pub(crate) fn load_entry(&self, probe: ProbeKey, outcome: CachedOutcome) -> bool {
-        let shard = self.shard_for(&probe);
+        let shard = self.shard_for(probe);
         let mut map = shard.lock();
         if map.len() >= self.inner.shard_capacity || map.contains_key(&probe) {
             return false;
@@ -771,9 +685,10 @@ mod tests {
         (nest, DepSet::from_distances(&[&[1, 0], &[0, 1]]))
     }
 
-    fn replay_is_bit_identical_in(mode: KeyMode) {
+    #[test]
+    fn replay_is_bit_identical_to_recompute() {
         let (nest, deps) = stencil();
-        let cache = SharedLegalityCache::with_capacity_and_mode(1 << 16, mode);
+        let cache = SharedLegalityCache::with_capacity(1 << 16);
         let plain = SeqState::root(&nest, &deps);
         let shared = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
         let replayed = SeqState::root(&nest, &deps).with_shared(cache.clone(), 1);
@@ -793,41 +708,6 @@ mod tests {
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.key_probes, 2);
         assert_eq!(stats.snapshot_hits, 0);
-    }
-
-    #[test]
-    fn replay_is_bit_identical_to_recompute() {
-        replay_is_bit_identical_in(KeyMode::Fingerprint);
-    }
-
-    #[test]
-    fn replay_is_bit_identical_in_legacy_display_mode() {
-        replay_is_bit_identical_in(KeyMode::Display);
-    }
-
-    #[test]
-    fn fingerprint_and_display_modes_agree() {
-        let (nest, deps) = stencil();
-        let fp = SharedLegalityCache::with_capacity_and_mode(1 << 16, KeyMode::Fingerprint);
-        let legacy = SharedLegalityCache::with_capacity_and_mode(1 << 16, KeyMode::Display);
-        let templates = vec![
-            Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap(),
-            Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap(),
-            Template::parallelize(vec![false, true]),
-        ];
-        let mut a = SeqState::root(&nest, &deps).with_shared(fp.clone(), 0);
-        let mut b = SeqState::root(&nest, &deps).with_shared(legacy.clone(), 0);
-        for t in templates {
-            a = a.extend(t.clone()).unwrap();
-            b = b.extend(t).unwrap();
-            assert_eq!(a.mapped_deps(), b.mapped_deps());
-            assert_eq!(a.shape(), b.shape());
-        }
-        // Same probe/hit profile, different key machinery.
-        let (sa, sb) = (fp.stats(), legacy.stats());
-        assert_eq!((sa.hits, sa.misses), (sb.hits, sb.misses));
-        assert!(sa.interned_values > 0);
-        assert_eq!(sb.interned_values, 0);
     }
 
     #[test]
@@ -989,17 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn state_key_separates_prune_modes_and_shapes() {
-        let (nest, deps) = stencil();
-        let other = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
-        let k1 = SharedLegalityCache::state_key(false, &nest, &deps);
-        let k2 = SharedLegalityCache::state_key(true, &nest, &deps);
-        let k3 = SharedLegalityCache::state_key(false, &other, &deps);
-        assert_ne!(k1, k2);
-        assert_ne!(k1, k3);
-    }
-
-    #[test]
     fn interned_state_keys_separate_prune_modes_and_shapes() {
         let (nest, deps) = stencil();
         let other = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
@@ -1049,7 +918,6 @@ mod tests {
         assert!(cache.stats().to_string().contains("0 hits"));
         assert!(cache.is_empty());
         assert_eq!(cache.capacity(), 8);
-        assert_eq!(cache.key_mode(), KeyMode::Fingerprint);
         assert_eq!(cache.shard_stats().len(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //! A batch run's [`SharedLegalityCache`] is a memo of pure legality
 //! subproblems, so it is valid *across* processes: the same
 //! `(prune, shape, mapped, template)` key always replays the same
-//! outcome. This module serializes a fingerprint-mode cache to a
+//! outcome. This module serializes the cache to a
 //! versioned, zero-dependency binary artifact and restores it in a later
 //! process, turning the first run's misses into the second run's hits
 //! ([`SharedLegalityCache::save_snapshot`] /
@@ -70,7 +70,7 @@
 use crate::codegen::ApplyError;
 use crate::precond::PrecondError;
 use crate::sequence::IllegalReason;
-use crate::shared::{CachedOutcome, KeyMode, ProbeKey, SharedLegalityCache, StateKey};
+use crate::shared::{CachedOutcome, ProbeKey, SharedLegalityCache, StateKey};
 use crate::template::Template;
 use irlt_dependence::{DepElem, DepSet, DepVector, Dir};
 use irlt_ir::{
@@ -94,9 +94,6 @@ const MAX_DEPTH: usize = 256;
 /// Why a snapshot could not be produced or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// Snapshots serialize interned ids; the legacy `Display` key mode
-    /// has none.
-    UnsupportedKeyMode,
     /// The input ended before a complete value.
     Truncated,
     /// The input does not start with `b"irlt-cache"`.
@@ -120,9 +117,6 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::UnsupportedKeyMode => {
-                f.write_str("snapshots require the fingerprint key mode")
-            }
             SnapshotError::Truncated => f.write_str("snapshot truncated"),
             SnapshotError::BadMagic => f.write_str("not an irlt-cache snapshot"),
             SnapshotError::BadVersion { found } => {
@@ -1128,12 +1122,9 @@ impl SharedLegalityCache {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::UnsupportedKeyMode`] in `Display` mode (legacy
-    /// string keys have no interned pools to serialize).
+    /// [`SnapshotError::Malformed`] when a count or length does not fit
+    /// the format's `u32` fields.
     pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        if self.key_mode() != KeyMode::Fingerprint {
-            return Err(SnapshotError::UnsupportedKeyMode);
-        }
         // Collect entries as plain id tuples, then sort for determinism
         // (shard iteration order is unspecified). Entries MUST be
         // collected before the pools are copied: pools are append-only,
@@ -1147,33 +1138,23 @@ impl SharedLegalityCache {
         // fixpoint.
         let mut entries: Vec<(bool, u32, u32, u32, DecodedOutcome)> = Vec::new();
         self.for_each_entry(|key, entry| {
-            let &ProbeKey::Fp {
-                prune,
-                shape,
-                mapped,
-                template,
-            } = key
-            else {
-                return; // unreachable in fingerprint mode
-            };
             let outcome = match &entry.outcome {
-                CachedOutcome::Legal {
+                &CachedOutcome::Legal {
                     key:
-                        StateKey::Fp {
+                        StateKey {
                             prune,
                             shape,
                             mapped,
                         },
                     ..
                 } => DecodedOutcome::Legal {
-                    prune: *prune,
-                    shape: *shape,
-                    mapped: *mapped,
+                    prune,
+                    shape,
+                    mapped,
                 },
-                CachedOutcome::Legal { .. } => return, // unreachable in fingerprint mode
                 CachedOutcome::Illegal(reason) => DecodedOutcome::Illegal(reason.clone()),
             };
-            entries.push((prune, shape, mapped, template, outcome));
+            entries.push((key.prune, key.shape, key.mapped, key.template, outcome));
         });
         entries
             .sort_by_key(|&(prune, shape, mapped, template, _)| (prune, shape, mapped, template));
@@ -1256,11 +1237,8 @@ impl SharedLegalityCache {
     /// # Errors
     ///
     /// Any [`SnapshotError`]: wrong magic/version, truncation, checksum
-    /// mismatch, structurally invalid payload, or a `Display`-mode cache.
+    /// mismatch, or structurally invalid payload.
     pub fn load_snapshot(&self, bytes: &[u8]) -> Result<SnapshotLoadStats, SnapshotError> {
-        if self.key_mode() != KeyMode::Fingerprint {
-            return Err(SnapshotError::UnsupportedKeyMode);
-        }
         if bytes.len() < HEADER_LEN {
             return if bytes.len() >= SNAPSHOT_MAGIC.len()
                 && &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC
@@ -1325,7 +1303,7 @@ impl SharedLegalityCache {
             ..SnapshotLoadStats::default()
         };
         for entry in decoded.entries {
-            let probe = ProbeKey::Fp {
+            let probe = ProbeKey {
                 prune: entry.prune,
                 shape: shape_map[entry.shape as usize],
                 mapped: dep_map[entry.mapped as usize],
@@ -1339,7 +1317,7 @@ impl SharedLegalityCache {
                 } => CachedOutcome::Legal {
                     shape: shape_arcs[shape as usize].clone(),
                     mapped: dep_arcs[mapped as usize].clone(),
-                    key: StateKey::Fp {
+                    key: StateKey {
                         prune,
                         shape: shape_map[shape as usize],
                         mapped: dep_map[mapped as usize],
@@ -1438,7 +1416,7 @@ pub struct SnapshotWriteStats {
 /// over a previous snapshot — on-disk generations are intact.
 #[derive(Debug)]
 pub enum SnapshotSaveError {
-    /// The cache could not be encoded (e.g. `Display` key mode).
+    /// The cache could not be encoded (a count overflowed the format).
     Encode(SnapshotError),
     /// A filesystem operation failed at the given path.
     Io(std::path::PathBuf, std::io::Error),
@@ -1610,18 +1588,19 @@ mod tests {
         assert!(lone.is_file());
         assert!(!generation_path(&lone, 1).exists());
 
-        // Display-mode caches fail with the typed encode error.
-        let display = SharedLegalityCache::with_capacity_and_mode(1 << 12, KeyMode::Display);
-        let err = display.save_snapshot_to(&base, 2).unwrap_err();
+        // A save whose temporary file cannot be created fails with the
+        // typed I/O error and never disturbs the generations on disk.
+        let before = std::fs::read(&base).unwrap();
+        let blocker = base.with_extension("new");
+        std::fs::create_dir(&blocker).unwrap();
+        let err = cache.save_snapshot_to(&base, 2).unwrap_err();
         assert!(
-            matches!(
-                err,
-                SnapshotSaveError::Encode(SnapshotError::UnsupportedKeyMode)
-            ),
+            matches!(err, SnapshotSaveError::Io(ref p, _) if *p == blocker),
             "{err}"
         );
-        // A failed save never disturbs the generations on disk.
-        assert_eq!(std::fs::read(&base).unwrap(), gen0);
+        assert_eq!(std::fs::read(&base).unwrap(), before);
+        assert!(!generation_path(&base, 3).exists());
+        std::fs::remove_dir(&blocker).unwrap();
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1756,22 +1735,6 @@ mod tests {
     }
 
     #[test]
-    fn display_mode_has_no_snapshots() {
-        let cache = SharedLegalityCache::with_capacity_and_mode(1 << 12, KeyMode::Display);
-        assert_eq!(
-            cache.save_snapshot(),
-            Err(SnapshotError::UnsupportedKeyMode)
-        );
-        let fp = SharedLegalityCache::new();
-        warm_cache(&fp);
-        let bytes = fp.save_snapshot().unwrap();
-        assert_eq!(
-            cache.load_snapshot(&bytes),
-            Err(SnapshotError::UnsupportedKeyMode)
-        );
-    }
-
-    #[test]
     fn capacity_full_shards_skip_rather_than_evict() {
         let donor = SharedLegalityCache::with_shards(1 << 12, 1);
         warm_cache(&donor);
@@ -1788,7 +1751,6 @@ mod tests {
     #[test]
     fn errors_render() {
         for e in [
-            SnapshotError::UnsupportedKeyMode,
             SnapshotError::Truncated,
             SnapshotError::BadMagic,
             SnapshotError::BadVersion { found: 9 },

@@ -51,17 +51,6 @@ pub struct BatchConfig {
     pub cache_save: Option<PathBuf>,
     /// Initial job distribution.
     pub sharding: Sharding,
-    /// Per-job search engine selection (see
-    /// [`SearchConfig::incremental`]); the shared cache requires the
-    /// incremental engine and is skipped without it.
-    pub incremental: bool,
-    /// Subsumption pruning of cached dependence sets.
-    pub prune: bool,
-    /// How shared-cache keys are represented (see [`KeyMode`]).
-    /// `Fingerprint` (the default) probes on interned ids with zero
-    /// allocation; `Display` keeps the legacy rendered-string keys for
-    /// apples-to-apples benchmarking. Results are bit-identical.
-    pub key_mode: KeyMode,
     /// One sink for the whole pool; disabled by default (no-op, and the
     /// batch is bit-identical with it on or off).
     pub telemetry: Telemetry,
@@ -77,9 +66,6 @@ impl Default for BatchConfig {
             cache_load: None,
             cache_save: None,
             sharding: Sharding::RoundRobin,
-            incremental: true,
-            prune: true,
-            key_mode: KeyMode::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -217,15 +203,13 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         config.threads
     };
     let tel = &config.telemetry;
-    // The shared cache only serves the incremental engine (it memoizes
-    // SeqState extensions); the scratch engine ignores it.
-    let cache = (config.shared_cache && config.incremental).then(|| {
+    let cache = config.shared_cache.then(|| {
         let shards = if config.cache_shards == 0 {
             (workers * 4).next_power_of_two()
         } else {
             config.cache_shards
         };
-        SharedLegalityCache::with_config(config.cache_capacity, shards, config.key_mode)
+        SharedLegalityCache::with_config(config.cache_capacity, shards, KeyMode::default())
     });
     // Warm start. Any failure — unreadable file, bad magic/version,
     // truncation, checksum mismatch, malformed payload — degrades to a
@@ -270,8 +254,6 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
             scope.spawn(move || {
                 gate.wait();
                 let opts = ExecOptions {
-                    incremental: config.incremental,
-                    prune: config.prune,
                     telemetry: config.telemetry.clone(),
                     cancel: None,
                 };
@@ -371,18 +353,13 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     }
 }
 
-/// Engine settings for executing one job outside a batch — the
+/// Per-execution settings for running one job outside a batch — the
 /// *request adapter* long-lived services (`irlt-serve`) share with
-/// [`run_batch`]. Everything that affects results is here; everything
-/// that affects scheduling (threads, sharding, queues) is the caller's
-/// business.
-#[derive(Clone, Debug)]
+/// [`run_batch`]. Telemetry never changes a result and an unfired token
+/// changes nothing; scheduling (threads, sharding, queues) is the
+/// caller's business.
+#[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
-    /// Use the incremental legality engine (see
-    /// [`SearchConfig::incremental`]).
-    pub incremental: bool,
-    /// Subsumption pruning of cached dependence sets.
-    pub prune: bool,
     /// Telemetry sink; disabled by default and bit-identical either way.
     pub telemetry: Telemetry,
     /// Cancellation override. When set, this token governs the search
@@ -393,24 +370,13 @@ pub struct ExecOptions {
     pub cancel: Option<CancelToken>,
 }
 
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            incremental: true,
-            prune: true,
-            telemetry: Telemetry::disabled(),
-            cancel: None,
-        }
-    }
-}
-
 /// Executes one job: analyze dependences, arm the deadline, search
 /// serially (parallelism across jobs is the scheduler's job, not the
 /// engine's).
 ///
 /// The result's deterministic fields are a pure function of the
-/// [`Job`] and the engine flags — independent of `owner`, `worker`,
-/// cache contents, and telemetry. A fired cancellation (deadline or
+/// [`Job`] — independent of `owner`, `worker`, cache contents, and
+/// telemetry. A fired cancellation (deadline or
 /// [`ExecOptions::cancel`]) returns the best *legal* candidate found
 /// so far (at worst the identity) as [`JobStatus::TimedOut`]; it never
 /// panics or hangs.
@@ -431,8 +397,6 @@ pub fn execute_job(
         max_steps: job.max_steps,
         beam_width: job.beam_width,
         threads: 1,
-        incremental: opts.incremental,
-        prune: opts.prune,
         telemetry: opts.telemetry.clone(),
         shared: cache.cloned(),
         owner,
@@ -512,34 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn key_modes_agree_and_surface_in_json() {
-        let jobs = demo_corpus(8);
-        let fp = run_batch(&jobs, &serial());
-        let legacy = run_batch(
-            &jobs,
-            &BatchConfig {
-                key_mode: KeyMode::Display,
-                ..serial()
-            },
-        );
-        for (a, b) in fp.jobs.iter().zip(&legacy.jobs) {
-            assert_eq!(a.best.seq.to_string(), b.best.seq.to_string());
-            assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
-            assert_eq!(a.explored, b.explored);
-        }
-        let s = fp.cache.expect("cache on by default");
-        assert!(s.key_probes > 0, "{s}");
-        assert!(s.interned_values > 0, "{s}");
-        assert_eq!(s.interner_collisions, 0, "{s}");
-        // Legacy string keys never touch the interner pools.
-        let l = legacy.cache.expect("cache on by default");
-        assert_eq!(l.interned_values, 0, "{l}");
-        let j = fp.to_json();
-        assert!(j.get_path(&["cache", "key_probes"]).is_some());
-        assert!(j.get_path(&["cache", "interned"]).is_some());
-    }
-
-    #[test]
     fn json_artifact_has_the_batch_shape() {
         let jobs = demo_corpus(3);
         let r = run_batch(&jobs, &serial());
@@ -557,6 +493,12 @@ mod tests {
             Some(3)
         );
         assert!(j.get_path(&["cache", "hits"]).is_some());
+        assert!(j.get_path(&["cache", "key_probes"]).is_some());
+        assert!(j.get_path(&["cache", "interned"]).is_some());
+        let s = r.cache.expect("cache on by default");
+        assert!(s.key_probes > 0, "{s}");
+        assert!(s.interned_values > 0, "{s}");
+        assert_eq!(s.interner_collisions, 0, "{s}");
         // Round-trips through the parser.
         let text = j.to_string_pretty();
         assert_eq!(Json::parse(&text).unwrap(), j);

@@ -20,7 +20,7 @@ use crate::gen::{
 use crate::prop::{check, CaseResult, Config};
 use irlt_affine::{check_sequence, AffineOptions, BoundsMode};
 use irlt_core::oracle::{cross_check, record_outcome, CrossCheckOutcome, OracleVerdict};
-use irlt_core::{IllegalReason, KeyMode, SeqState, SharedLegalityCache, Step, TransformSeq};
+use irlt_core::{IllegalReason, SeqState, SharedLegalityCache, Step, TransformSeq};
 use irlt_dependence::{analyze_dependences, DepSet};
 use irlt_interp::check_equivalence;
 use irlt_ir::LoopNest;
@@ -230,9 +230,9 @@ impl OracleReport {
 ///
 /// 1. the full `TransformSeq::is_legal` dependence verdict must match
 ///    the bare `map_deps(..).is_legal()` verdict it is built on;
-/// 2. scratch [`SeqState`] chains and shared-cache chains (both
-///    [`KeyMode`]s) must agree step-by-step, and a fully-grown chain
-///    must imply a legal mapped set;
+/// 2. an uncached [`SeqState`] chain and a shared-cache chain must
+///    agree step-by-step, and a fully-grown chain must imply a legal
+///    mapped set;
 /// 3. the affine engine's bounded (`Within`) verdict may only refine
 ///    the unbounded one in the legal direction (adding the bounds
 ///    polytope shrinks every violation system).
@@ -267,13 +267,11 @@ pub fn cross_check_case(
         irlt_core::LegalityReport::Illegal(_) => {}
     }
 
-    // (2) Chain agreement: scratch vs shared caches in both key modes.
-    let fp = SharedLegalityCache::with_capacity_and_mode(1 << 16, KeyMode::Fingerprint);
-    let display = SharedLegalityCache::with_capacity_and_mode(1 << 16, KeyMode::Display);
+    // (2) Chain agreement: uncached vs shared-cache chains.
+    let cache = SharedLegalityCache::with_capacity(1 << 16);
     let mut chains = [
         Some(SeqState::root(nest, deps)),
-        Some(SeqState::root(nest, deps).with_shared(fp, 1)),
-        Some(SeqState::root(nest, deps).with_shared(display, 1)),
+        Some(SeqState::root(nest, deps).with_shared(cache, 1)),
     ];
     let mut grew_fully = true;
     for step in seq.steps() {
@@ -287,7 +285,7 @@ pub fn cross_check_case(
         let verdicts: Vec<bool> = next.iter().map(Option::is_some).collect();
         if verdicts.iter().any(|&v| v != verdicts[0]) {
             return Err(format!(
-                "chain verdicts diverged across cache modes at step {t}: {verdicts:?}\n{case:?}"
+                "cached and uncached chain verdicts diverged at step {t}: {verdicts:?}\n{case:?}"
             ));
         }
         if next[0].is_none() {
@@ -300,7 +298,7 @@ pub fn cross_check_case(
             .collect();
         if sets.iter().any(|&s| s != sets[0]) {
             return Err(format!(
-                "mapped sets diverged across cache modes at step {t}\n{case:?}"
+                "cached and uncached mapped sets diverged at step {t}\n{case:?}"
             ));
         }
         for (chain, grown) in chains.iter_mut().zip(next) {

@@ -7,21 +7,23 @@
 //! scored on a body-less shape (or a trial execution, for locality goals).
 //!
 //! The inner loop runs on the incremental legality engine
-//! ([`irlt_core::SeqState`]): each frontier candidate carries its mapped
-//! dependence set and intermediate shape, so extending it by one template
-//! costs O(one template) instead of replaying the whole sequence.
-//! Frontier expansion optionally fans out across `std::thread::scope`
-//! workers; outcomes are merged in deterministic (state, move) order, so
-//! the result is bit-identical to the serial path — and to the
-//! from-scratch path (`incremental: false`), which is kept for
-//! benchmarking and differential testing.
+//! ([`irlt_core::SeqState`], always with subsumption pruning): each
+//! frontier candidate carries its mapped dependence set and intermediate
+//! shape, so extending it by one template costs O(one template) instead
+//! of replaying the whole sequence through [`TransformSeq::is_legal`]
+//! (the O(k²)→O(k) saving recorded in `BENCH_3.json`). The paper's
+//! uniform test stays the reference oracle: the unit tests replay every
+//! `(frontier node, move)` pair of two deep searches through it and
+//! require the same verdict and shape. Frontier expansion optionally fans
+//! out across `std::thread::scope` workers; outcomes are merged in
+//! deterministic (state, move) order, so the result is bit-identical to
+//! the serial path.
 
 use crate::cancel::CancelToken;
 use crate::goal::Goal;
 use crate::moves::MoveCatalog;
 use irlt_core::{
-    ExtendError, IllegalReason, LegalityReport, SeqState, SharedLegalityCache, Template,
-    TransformSeq,
+    ExtendError, IllegalReason, SeqState, SharedLegalityCache, Template, TransformSeq,
 };
 use irlt_dependence::DepSet;
 use irlt_ir::LoopNest;
@@ -43,15 +45,6 @@ pub struct SearchConfig {
     /// uses one worker per available core. Results are bit-identical for
     /// every thread count (deterministic merge order).
     pub threads: usize,
-    /// Evaluate candidates with the incremental legality engine
-    /// (prefix-cached dependence mapping + fail-fast). `false` replays
-    /// every candidate from scratch through
-    /// [`TransformSeq::is_legal`] — the pre-cache path, kept for
-    /// benchmarking and differential testing.
-    pub incremental: bool,
-    /// Subsumption-prune cached dependence sets (incremental mode only;
-    /// exact for the built-in templates the catalog generates).
-    pub prune: bool,
     /// Telemetry sink for search observability. The default is the
     /// disabled (no-op) handle: nothing is recorded, nothing is
     /// formatted, and results are bit-identical either way — telemetry
@@ -62,11 +55,11 @@ pub struct SearchConfig {
     /// timings, and — through [`SeqState`] — the legality-cache and
     /// dependence-mapping counters.
     pub telemetry: Telemetry,
-    /// Cross-nest shared legality cache (incremental mode only): when
-    /// set, every candidate extension consults the batch-wide memo table
-    /// before recomputing, and deposits what it computes. Replay is
-    /// bit-identical to recomputation, so results do not depend on the
-    /// cache's contents, on `owner`, or on which jobs ran before.
+    /// Cross-nest shared legality cache: when set, every candidate
+    /// extension consults the batch-wide memo table before recomputing,
+    /// and deposits what it computes. Replay is bit-identical to
+    /// recomputation, so results do not depend on the cache's contents,
+    /// on `owner`, or on which jobs ran before.
     pub shared: Option<SharedLegalityCache>,
     /// Identity tag for cross-job hit accounting in [`shared`]; ignored
     /// without a cache.
@@ -88,8 +81,6 @@ impl Default for SearchConfig {
             max_steps: 3,
             beam_width: 8,
             threads: 1,
-            incremental: true,
-            prune: true,
             telemetry: Telemetry::disabled(),
             shared: None,
             owner: 0,
@@ -142,12 +133,11 @@ impl fmt::Display for SearchResult {
     }
 }
 
-/// A frontier node: the public candidate plus (in incremental mode) its
-/// cached legality state.
+/// A frontier node: the public candidate plus its cached legality state.
 #[derive(Clone, Debug)]
 struct Node {
     cand: Candidate,
-    state: Option<SeqState>,
+    state: SeqState,
 }
 
 /// Which arm of the uniform legality test rejected a candidate — the
@@ -210,72 +200,29 @@ fn score_candidate(
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     nest: &'a LoopNest,
-    deps: &'a DepSet,
     goal: &'a Goal,
-    incremental: bool,
     tel: &'a Telemetry,
     cancel: Option<&'a CancelToken>,
 }
 
 fn evaluate(parent: &Node, template: Template, ctx: EvalCtx<'_>) -> Outcome {
-    let EvalCtx {
-        nest,
-        deps,
-        goal,
-        incremental,
-        tel,
-        cancel: _,
-    } = ctx;
-    if incremental {
-        let state = parent
-            .state
-            .as_ref()
-            .expect("incremental node carries state");
-        return match state.extend(template) {
-            Err(ExtendError::Sequence(_)) => Outcome::Rejected,
-            Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
-            Ok(child) => {
-                let shape = child.shape().clone();
-                match score_candidate(child.seq(), &shape, nest, goal, tel) {
-                    None => Outcome::LegalUnscored,
-                    Some(score) => Outcome::Legal(Box::new(Node {
-                        cand: Candidate {
-                            seq: child.seq().clone(),
-                            score,
-                            shape,
-                        },
-                        state: Some(child),
-                    })),
-                }
+    match parent.state.extend(template) {
+        Err(ExtendError::Sequence(_)) => Outcome::Rejected,
+        Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
+        Ok(child) => {
+            let shape = child.shape().clone();
+            match score_candidate(child.seq(), &shape, ctx.nest, ctx.goal, ctx.tel) {
+                None => Outcome::LegalUnscored,
+                Some(score) => Outcome::Legal(Box::new(Node {
+                    cand: Candidate {
+                        seq: child.seq().clone(),
+                        score,
+                        shape,
+                    },
+                    state: child,
+                })),
             }
-        };
-    }
-    let seq = match parent.cand.seq.clone().push(template) {
-        Ok(s) => s,
-        Err(_) => return Outcome::Rejected,
-    };
-    if tel.is_enabled() {
-        // The from-scratch engine replays every step of the candidate —
-        // the cost the incremental engine's prefix cache avoids.
-        tel.count("legality/scratch/steps_replayed", seq.len() as u64);
-    }
-    if let LegalityReport::Illegal(reason) = seq.is_legal(nest, deps) {
-        return Outcome::Tested(reject_kind(&reason));
-    }
-    let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
-    let Ok(full_shape) = seq.apply(&shape0) else {
-        return Outcome::LegalUnscored;
-    };
-    match score_candidate(&seq, &full_shape, nest, goal, tel) {
-        None => Outcome::LegalUnscored,
-        Some(score) => Outcome::Legal(Box::new(Node {
-            cand: Candidate {
-                seq,
-                score,
-                shape: full_shape,
-            },
-            state: None,
-        })),
+        }
     }
 }
 
@@ -368,15 +315,12 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     }
     .unwrap_or(f64::NEG_INFINITY);
     let tel = &config.telemetry;
-    let state = config.incremental.then(|| {
-        let mut s = SeqState::root(nest, deps)
-            .with_pruning(config.prune)
-            .with_telemetry(tel.clone());
-        if let Some(cache) = &config.shared {
-            s = s.with_shared(cache.clone(), config.owner);
-        }
-        s
-    });
+    let mut state = SeqState::root(nest, deps)
+        .with_pruning(true)
+        .with_telemetry(tel.clone());
+    if let Some(cache) = &config.shared {
+        state = state.with_shared(cache.clone(), config.owner);
+    }
     let root = Node {
         cand: Candidate {
             seq: TransformSeq::new(nest.depth()),
@@ -424,9 +368,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             .collect();
         let ctx = EvalCtx {
             nest,
-            deps,
             goal,
-            incremental: config.incremental,
             tel,
             cancel: config.cancel.as_ref(),
         };
@@ -519,9 +461,14 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
 mod tests {
     use super::*;
     use irlt_cachesim::{AddressMap, CacheConfig, Order};
+    use irlt_core::LegalityReport;
     use irlt_dependence::analyze_dependences;
     use irlt_interp::check_equivalence;
     use irlt_ir::parse_nest;
+
+    const STENCIL: &str =
+        "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo";
+    const MATMUL: &str = "do i = 1, n\n do j = 1, n\n  do k = 1, n\n   A(i, j) = A(i, j) + B(i, k) * C(k, j)\n  enddo\n enddo\nenddo";
 
     #[test]
     fn finds_inner_parallelism_for_vectorization() {
@@ -544,10 +491,7 @@ mod tests {
         // Both loops carry dependences; outer parallelism needs a skew (or
         // equivalent) before parallelizing — the search must discover a
         // multi-step sequence.
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
+        let nest = parse_nest(STENCIL).unwrap();
         let deps = analyze_dependences(&nest);
         let cfg = SearchConfig {
             catalog: MoveCatalog::parallelism(),
@@ -637,7 +581,8 @@ mod tests {
         assert!(s.contains("candidates tested"), "{s}");
     }
 
-    /// Every engine/thread combination used below must agree bit-for-bit.
+    /// Every thread count and shared-cache state used below must agree
+    /// bit-for-bit.
     fn run_all_modes(
         nest: &LoopNest,
         deps: &DepSet,
@@ -645,17 +590,8 @@ mod tests {
         base: &SearchConfig,
     ) -> Vec<SearchResult> {
         let mut out = Vec::new();
-        for (incremental, prune, threads) in [
-            (false, false, 1),
-            (false, false, 4),
-            (true, false, 1),
-            (true, true, 1),
-            (true, true, 4),
-            (true, true, 0),
-        ] {
+        for threads in [1, 4, 0] {
             let cfg = SearchConfig {
-                incremental,
-                prune,
                 threads,
                 ..base.clone()
             };
@@ -696,11 +632,8 @@ mod tests {
     }
 
     #[test]
-    fn engines_and_thread_counts_bit_identical_on_stencil() {
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
+    fn thread_counts_and_cache_states_bit_identical_on_stencil() {
+        let nest = parse_nest(STENCIL).unwrap();
         let deps = analyze_dependences(&nest);
         let base = SearchConfig {
             catalog: MoveCatalog::parallelism(),
@@ -712,14 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_deep_config_matches_pre_cache_serial_path() {
+    fn matmul_acceptance_config_is_pinned() {
         // The acceptance configuration: Fig. 6 matmul, max_steps 5,
-        // beam 16. The incremental/parallel engines must return exactly
-        // the pre-cache serial result (best sequence AND counters).
-        let nest = parse_nest(
-            "do i = 1, n\n do j = 1, n\n  do k = 1, n\n   A(i, j) = A(i, j) + B(i, k) * C(k, j)\n  enddo\n enddo\nenddo",
-        )
-        .unwrap();
+        // beam 16. Every thread count and cache state returns the result
+        // the from-scratch engine (`is_legal` per candidate) produced
+        // before it was retired — pinned here as literals.
+        let nest = parse_nest(MATMUL).unwrap();
         let deps = analyze_dependences(&nest);
         let base = SearchConfig {
             max_steps: 5,
@@ -728,7 +659,152 @@ mod tests {
         };
         let results = run_all_modes(&nest, &deps, &Goal::OuterParallel, &base);
         assert_identical(&results);
-        assert!(results[0].legal > 0);
+        let r = &results[0];
+        assert_eq!((r.explored, r.legal), (2264, 1415));
+        assert_eq!(
+            r.best.seq.to_string(),
+            "⟨Parallelize(n=3, parflag=[1 0 0]); Coalesce(n=3, i=1, j=2)⟩"
+        );
+        assert_eq!(r.best.score.to_bits(), 0x408f_3c00_0000_0000);
+    }
+
+    /// What one `(frontier node, move)` evaluation decided, in a form
+    /// both engines can produce.
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Rejected,
+        Tested(RejectKind),
+        LegalUnscored,
+        Legal {
+            seq: String,
+            shape: LoopNest,
+            score_bits: u64,
+        },
+    }
+
+    fn verdict(outcome: Outcome) -> Verdict {
+        match outcome {
+            Outcome::Rejected => Verdict::Rejected,
+            Outcome::Tested(kind) => Verdict::Tested(kind),
+            Outcome::LegalUnscored => Verdict::LegalUnscored,
+            Outcome::Legal(node) => Verdict::Legal {
+                seq: node.cand.seq.to_string(),
+                shape: node.cand.shape,
+                score_bits: node.cand.score.to_bits(),
+            },
+            Outcome::Cancelled => unreachable!("no cancel token"),
+        }
+    }
+
+    /// The from-scratch reference: push the move onto the parent's
+    /// sequence, run the paper's uniform legality test on the whole
+    /// sequence, and rebuild the shape by applying it to the root shape.
+    fn reference_evaluate(
+        parent: &TransformSeq,
+        template: Template,
+        nest: &LoopNest,
+        deps: &DepSet,
+        goal: &Goal,
+    ) -> Verdict {
+        let Ok(seq) = parent.clone().push(template) else {
+            return Verdict::Rejected;
+        };
+        if let LegalityReport::Illegal(reason) = seq.is_legal(nest, deps) {
+            return Verdict::Tested(reject_kind(&reason));
+        }
+        let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
+        let Ok(shape) = seq.apply(&shape0) else {
+            return Verdict::LegalUnscored;
+        };
+        match score_candidate(&seq, &shape, nest, goal, &Telemetry::disabled()) {
+            None => Verdict::LegalUnscored,
+            Some(score) => Verdict::Legal {
+                seq: seq.to_string(),
+                shape,
+                score_bits: score.to_bits(),
+            },
+        }
+    }
+
+    /// Walks the search's frontier depth by depth (same dedup, ordering
+    /// and truncation as [`search`]) and checks every `(frontier node,
+    /// move)` pair against [`reference_evaluate`]. Returns the walk's
+    /// `(explored, legal)` totals.
+    fn check_every_pair_against_is_legal(
+        nest: &LoopNest,
+        goal: &Goal,
+        cfg: &SearchConfig,
+    ) -> (usize, usize) {
+        let deps = analyze_dependences(nest);
+        let tel = Telemetry::disabled();
+        let ctx = EvalCtx {
+            nest,
+            goal,
+            tel: &tel,
+            cancel: None,
+        };
+        let mut frontier = vec![Node {
+            cand: Candidate {
+                seq: TransformSeq::new(nest.depth()),
+                score: 0.0,
+                shape: LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new()),
+            },
+            state: SeqState::root(nest, &deps).with_pruning(true),
+        }];
+        let (mut explored, mut legal) = (0, 0);
+        let mut seen = HashSet::new();
+        for _ in 0..cfg.max_steps {
+            let mut next = Vec::new();
+            for node in &frontier {
+                for t in cfg.catalog.moves(node.cand.shape.depth()) {
+                    let expected = reference_evaluate(&node.cand.seq, t.clone(), nest, &deps, goal);
+                    let outcome = evaluate(node, t.clone(), ctx);
+                    if let Outcome::Legal(child) = &outcome {
+                        if seen.insert(shape_fingerprint(&child.cand.shape)) {
+                            next.push((**child).clone());
+                        }
+                    }
+                    let got = verdict(outcome);
+                    assert_eq!(got, expected, "{} + {t}", node.cand.seq);
+                    explored += usize::from(got != Verdict::Rejected);
+                    legal += usize::from(matches!(
+                        got,
+                        Verdict::Legal { .. } | Verdict::LegalUnscored
+                    ));
+                }
+            }
+            next.sort_by(|a, b| b.cand.score.partial_cmp(&a.cand.score).unwrap());
+            next.truncate(cfg.beam_width);
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
+        }
+        (explored, legal)
+    }
+
+    #[test]
+    fn every_frontier_pair_matches_the_uniform_legality_test() {
+        let cfg = SearchConfig {
+            max_steps: 5,
+            beam_width: 16,
+            ..SearchConfig::default()
+        };
+        for src in [STENCIL, MATMUL] {
+            let nest = parse_nest(src).unwrap();
+            let (explored, legal) =
+                check_every_pair_against_is_legal(&nest, &Goal::OuterParallel, &cfg);
+            // The walk is the search's own frontier: same counters.
+            let r = search(
+                &nest,
+                &analyze_dependences(&nest),
+                &Goal::OuterParallel,
+                &cfg,
+            );
+            assert_eq!((explored, legal), (r.explored, r.legal), "{src}");
+            // Both verdicts occur, so both arms were compared.
+            assert!(legal > 0 && legal < explored, "{src}");
+        }
     }
 
     #[test]
@@ -762,40 +838,31 @@ mod tests {
     fn push_arity_rejection_never_reaches_legality_test() {
         // A template whose input size cannot chain onto the root must
         // yield `Rejected` — the outcome `search` excludes from
-        // `explored` — in both engines.
+        // `explored`.
         let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let deps = analyze_dependences(&nest);
-        let wrong_arity = Template::parallelize(vec![true, false]);
-        for incremental in [false, true] {
-            let state = incremental.then(|| SeqState::root(&nest, &deps));
-            let root = Node {
-                cand: Candidate {
-                    seq: TransformSeq::new(nest.depth()),
-                    score: 0.0,
-                    shape: nest.clone(),
-                },
-                state,
-            };
-            let tel = Telemetry::disabled();
-            let ctx = EvalCtx {
-                nest: &nest,
-                deps: &deps,
-                goal: &Goal::OuterParallel,
-                incremental,
-                tel: &tel,
-                cancel: None,
-            };
-            let outcome = evaluate(&root, wrong_arity.clone(), ctx);
-            assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
-        }
+        let root = Node {
+            cand: Candidate {
+                seq: TransformSeq::new(nest.depth()),
+                score: 0.0,
+                shape: nest.clone(),
+            },
+            state: SeqState::root(&nest, &deps),
+        };
+        let tel = Telemetry::disabled();
+        let ctx = EvalCtx {
+            nest: &nest,
+            goal: &Goal::OuterParallel,
+            tel: &tel,
+            cancel: None,
+        };
+        let outcome = evaluate(&root, Template::parallelize(vec![true, false]), ctx);
+        assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
     }
 
     #[test]
     fn telemetry_records_per_depth_beam_stats_without_changing_results() {
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
+        let nest = parse_nest(STENCIL).unwrap();
         let deps = analyze_dependences(&nest);
         let base = SearchConfig {
             catalog: MoveCatalog::parallelism(),
@@ -850,36 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_engine_telemetry_counts_replayed_steps() {
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
-        let deps = analyze_dependences(&nest);
-        let tel = Telemetry::enabled();
-        let cfg = SearchConfig {
-            catalog: MoveCatalog::parallelism(),
-            max_steps: 2,
-            beam_width: 8,
-            incremental: false,
-            telemetry: tel.clone(),
-            ..SearchConfig::default()
-        };
-        let r0 = search(&nest, &deps, &Goal::OuterParallel, &cfg);
-        let r = tel.report();
-        assert!(
-            r.counter("legality/scratch/steps_replayed") > r0.explored as u64,
-            "{r:?}"
-        );
-        // No incremental engine, no cache counters.
-        assert_eq!(r.counter("legality/cache/hits"), 0);
-        assert!(
-            r.counter("search/depth.0/lex_negative_rejected") > 0,
-            "{r:?}"
-        );
-    }
-
-    #[test]
     fn parallel_expansion_records_worker_fanout() {
         let nest =
             parse_nest("do i = 2, n\n do j = 1, m\n  a(i, j) = a(i - 1, j) + 1\n enddo\nenddo")
@@ -899,10 +936,7 @@ mod tests {
 
     #[test]
     fn prefired_cancel_returns_identity_timed_out() {
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
+        let nest = parse_nest(STENCIL).unwrap();
         let deps = analyze_dependences(&nest);
         let token = CancelToken::new();
         token.cancel();
@@ -919,10 +953,7 @@ mod tests {
 
     #[test]
     fn unfired_cancel_token_changes_nothing() {
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
+        let nest = parse_nest(STENCIL).unwrap();
         let deps = analyze_dependences(&nest);
         let base = SearchConfig {
             catalog: MoveCatalog::parallelism(),

@@ -67,10 +67,6 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Use the incremental legality engine.
-    pub incremental: bool,
-    /// Subsumption pruning of cached dependence sets.
-    pub prune: bool,
     /// Share one legality cache across all requests.
     pub shared_cache: bool,
     /// Entry capacity of the shared cache.
@@ -94,8 +90,6 @@ impl Default for ServeConfig {
             queue_high_water: 64,
             retry_after_ms: 10,
             default_deadline: None,
-            incremental: true,
-            prune: true,
             shared_cache: true,
             cache_capacity: SharedLegalityCache::DEFAULT_CAPACITY,
             cache_shards: 0,
@@ -486,7 +480,7 @@ impl ServerHandle {
 
 fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inner {
     let tel = cfg.telemetry.clone();
-    let cache = (cfg.shared_cache && cfg.incremental).then(|| {
+    let cache = cfg.shared_cache.then(|| {
         let shards = if cfg.cache_shards == 0 {
             (workers * 4).next_power_of_two()
         } else {
@@ -694,8 +688,6 @@ fn worker_loop(inner: &Inner, worker: usize) {
         });
         let owner = inner.owner.fetch_add(1, Ordering::Relaxed);
         let opts = ExecOptions {
-            incremental: inner.cfg.incremental,
-            prune: inner.cfg.prune,
             telemetry: inner.tel.clone(),
             cancel: Some(ticket.cancel.clone()),
         };

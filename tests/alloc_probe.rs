@@ -5,16 +5,15 @@
 //! path — no rendered state strings, no template `to_string`, no key
 //! clones. This binary pins that claim with a counting
 //! `#[global_allocator]` ([`irlt_harness::alloc_counter`]): a warmed
-//! probe in `Fingerprint` mode must perform **zero** allocations, for
-//! a hit and for a miss, while the legacy `Display` mode (kept for
-//! apples-to-apples benchmarking) demonstrably allocates on the same
-//! probes.
+//! probe must perform **zero** allocations, for a hit and for a miss,
+//! while the first-ever probe of a template demonstrably allocates (the
+//! interner clones it into its pool), which proves the counter is live.
 //!
 //! Allocation counting is process-global, so this file stays a single
 //! `#[test]` in its own integration-test binary — nothing else runs
 //! concurrently to muddy the counts.
 
-use irlt_core::{KeyMode, SeqState, SharedLegalityCache, Template};
+use irlt_core::{SeqState, SharedLegalityCache, Template};
 use irlt_dependence::analyze_dependences;
 use irlt_harness::alloc_counter::{count_allocations, install, CountingAlloc};
 use irlt_ir::parse_nest;
@@ -36,7 +35,7 @@ fn warmed_probes_do_not_allocate_in_fingerprint_mode() {
     let interchange = Template::unimodular(IntMatrix::interchange(2, 0, 1)).unwrap();
     let reversal = Template::unimodular(IntMatrix::reversal(2, 0)).unwrap();
 
-    let cache = SharedLegalityCache::with_capacity_and_mode(1 << 16, KeyMode::Fingerprint);
+    let cache = SharedLegalityCache::with_capacity(1 << 16);
     let state = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
 
     // Deposit (root, skew) and (root, interchange); leave reversal
@@ -81,13 +80,15 @@ fn warmed_probes_do_not_allocate_in_fingerprint_mode() {
         assert_eq!(allocs, 0, "miss allocated at {shards} shard(s)");
     }
 
-    // Contrast (and proof the counter is live): the legacy Display
-    // representation renders the template to a string per probe.
-    let legacy = SharedLegalityCache::with_capacity_and_mode(1 << 16, KeyMode::Display);
-    let lstate = SeqState::root(&nest, &deps).with_shared(legacy, 0);
-    let _ = lstate.extend(skew.clone()).unwrap();
-    assert_eq!(lstate.shared_probe(&skew), Some(true));
-    let (allocs, outcome) = count_allocations(|| lstate.shared_probe(&skew));
-    assert_eq!(outcome, Some(true));
-    assert!(allocs > 0, "Display-mode probe unexpectedly alloc-free");
+    // Contrast (and proof the counter is live): the first sight of a
+    // template clones it into the interner pool, so that probe must
+    // allocate.
+    let unseen = Template::unimodular(IntMatrix::skew(2, 0, 1, 2)).unwrap();
+    let (allocs, outcome) = count_allocations(|| state.shared_probe(&unseen));
+    assert_eq!(
+        outcome,
+        Some(false),
+        "the unseen template was never deposited"
+    );
+    assert!(allocs > 0, "first-sight probe unexpectedly alloc-free");
 }

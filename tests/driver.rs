@@ -264,8 +264,7 @@ fn batch_artifact_round_trips() {
 
 /// PR 8 tentpole: lock-striping the shared cache is invisible to batch
 /// results — bit-identical per-job results across shard counts (1, 4,
-/// 16), worker counts, shuffled submission orders, and against the
-/// legacy single-map `Display`-keyed cache.
+/// 16), worker counts, and shuffled submission orders.
 #[test]
 fn sharded_batches_match_single_shard_across_threads_and_orders() {
     let jobs = demo_corpus(32);
@@ -298,18 +297,6 @@ fn sharded_batches_match_single_shard_across_threads_and_orders() {
             );
         }
     }
-
-    // Legacy single-map string-keyed cache (the PR 5 representation).
-    let legacy = run_batch(
-        &jobs,
-        &BatchConfig {
-            threads: 1,
-            cache_shards: 1,
-            key_mode: KeyMode::Display,
-            ..BatchConfig::default()
-        },
-    );
-    assert_eq!(sorted_fingerprints(&legacy.jobs), reference);
 
     // Shuffled submission orders under the sharded cache.
     for seed in [0x5a5a_5a5a_u64, 0x1992_0802] {

@@ -612,62 +612,6 @@ fn packed_legality_and_mapping_match_unpacked() {
     );
 }
 
-/// Key representation is invisible to results: a chain extended through
-/// a `Fingerprint`-keyed shared cache agrees step-for-step with one
-/// extended through a legacy `Display`-keyed cache — same verdicts,
-/// identical mapped sets and shapes, byte-identical rejections.
-#[test]
-fn key_modes_agree_on_random_chains() {
-    let fp = SharedLegalityCache::with_capacity_and_mode(1 << 20, KeyMode::Fingerprint);
-    let legacy = SharedLegalityCache::with_capacity_and_mode(1 << 20, KeyMode::Display);
-    let owner = std::cell::Cell::new(0u64);
-    check(
-        "key_modes_agree_on_random_chains",
-        &corpus_cfg(100),
-        |rng| {
-            let depth = rng.gen_range(1..=3usize);
-            gen_pair(rng, depth)
-        },
-        shrink_pair,
-        |(nest, seq)| {
-            owner.set(owner.get() + 1);
-            let deps = analyze_dependences(nest);
-            let mut a = SeqState::root(nest, &deps).with_shared(fp.clone(), owner.get());
-            let mut b = SeqState::root(nest, &deps).with_shared(legacy.clone(), owner.get());
-            for step in seq.steps() {
-                let irlt::core::Step::Builtin(t) = step else {
-                    unreachable!("generated sequences are builtin-only")
-                };
-                match (a.extend(t.clone()), b.extend(t.clone())) {
-                    (Ok(x), Ok(y)) => {
-                        prop_assert_eq!(x.mapped_deps(), y.mapped_deps());
-                        prop_assert_eq!(x.shape(), y.shape());
-                        a = x;
-                        b = y;
-                    }
-                    (Err(xe), Err(ye)) => {
-                        prop_assert_eq!(xe.to_string(), ye.to_string());
-                        break;
-                    }
-                    (x, y) => {
-                        return CaseResult::Fail(format!(
-                            "verdicts diverged across key modes: {:?} vs {:?}",
-                            x.map(|s| s.mapped_deps().clone()),
-                            y.map(|s| s.mapped_deps().clone()),
-                        ));
-                    }
-                }
-            }
-            CaseResult::Pass
-        },
-    );
-    let (f, l) = (fp.stats(), legacy.stats());
-    assert!(f.hits > 0 && l.hits > 0, "caches never engaged: {f} / {l}");
-    assert!(f.interned_values > 0, "{f}");
-    assert_eq!(f.interner_collisions, 0, "{f}");
-    assert_eq!(l.interned_values, 0, "Display mode must not intern: {l}");
-}
-
 /// Subsumption pruning never changes `DepSet::is_legal()`: the pruned set
 /// is a subset of members covering exactly the same tuple set.
 #[test]
@@ -895,10 +839,10 @@ fn cross_engine_general_sequences_never_mismatch() {
 }
 
 /// PR 8 tentpole: lock-striping is invisible to results. Chains extended
-/// through shared caches striped into 1, 4, and 16 shards and through
-/// the legacy single-map `Display`-keyed cache all agree step-for-step
-/// with a fresh uncached chain — same verdicts, identical mapped sets
-/// and shapes, byte-identical rejections. All four caches persist across
+/// through shared caches striped into 1, 4, and 16 shards all agree
+/// step-for-step with a fresh uncached chain — same verdicts, identical
+/// mapped sets and shapes, byte-identical rejections. All three caches
+/// persist across
 /// the whole 200-case run, so later cases replay entries earlier cases
 /// deposited into *different* shard layouts.
 #[test]
@@ -907,8 +851,6 @@ fn shard_counts_are_invisible_on_random_chains() {
         SharedLegalityCache::with_shards(1 << 20, 1),
         SharedLegalityCache::with_shards(1 << 20, 4),
         SharedLegalityCache::with_shards(1 << 20, 16),
-        // The legacy PR 5 shape: one map, one lock, string keys.
-        SharedLegalityCache::with_config(1 << 20, 1, KeyMode::Display),
     ];
     let owner = std::cell::Cell::new(0u64);
     check(
@@ -964,7 +906,7 @@ fn shard_counts_are_invisible_on_random_chains() {
             CaseResult::Pass
         },
     );
-    for (cache, shards) in caches.iter().zip([1u64, 4, 16, 1]) {
+    for (cache, shards) in caches.iter().zip([1u64, 4, 16]) {
         let s = cache.stats();
         assert_eq!(s.shards, shards, "{s}");
         assert!(
