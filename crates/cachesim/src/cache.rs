@@ -5,7 +5,6 @@
 //! feed it the memory-access trace of a nest before and after a
 //! transformation and compare miss counts.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Cache geometry.
@@ -93,6 +92,11 @@ impl fmt::Display for CacheStats {
 
 /// A set-associative LRU cache.
 ///
+/// The tags live in one flat `sets × ways` array. Each set's slice is kept
+/// most-recently-used first, with a per-set fill count, so an access is a
+/// short scan plus one `copy_within` that shifts the more recent tags down
+/// by one.
+///
 /// # Examples
 ///
 /// ```
@@ -106,7 +110,10 @@ impl fmt::Display for CacheStats {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<VecDeque<u64>>,
+    /// Set `s` owns `tags[s * ways .. (s + 1) * ways]`, MRU first; only
+    /// its first `fill[s]` entries are valid.
+    tags: Vec<u64>,
+    fill: Vec<usize>,
     stats: CacheStats,
 }
 
@@ -117,10 +124,11 @@ impl Cache {
     ///
     /// Panics on inconsistent geometry (see [`CacheConfig::num_sets`]).
     pub fn new(config: CacheConfig) -> Cache {
-        let sets = vec![VecDeque::with_capacity(config.associativity); config.num_sets()];
+        let num_sets = config.num_sets();
         Cache {
             config,
-            sets,
+            tags: vec![0; num_sets * config.associativity],
+            fill: vec![0; num_sets],
             stats: CacheStats::default(),
         }
     }
@@ -135,22 +143,31 @@ impl Cache {
     /// miss counts are what locality studies compare).
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let set = &mut self.sets[set_idx];
+        let set_idx = (line % self.fill.len() as u64) as usize;
+        let ways = self.config.associativity;
+        let fill = self.fill[set_idx];
+        let set = &mut self.tags[set_idx * ways..(set_idx + 1) * ways];
         self.stats.accesses += 1;
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-            set.push_front(line);
-            self.stats.hits += 1;
-            true
-        } else {
-            if set.len() == self.config.associativity {
-                set.pop_back();
+        // On a hit, the tags more recent than `line` shift down one slot;
+        // on a miss, every valid tag does (the LRU one falls off a full
+        // set). Either way `line` becomes the MRU entry.
+        let (hit, shifted) = match set[..fill].iter().position(|&t| t == line) {
+            Some(pos) => (true, pos),
+            None => {
+                if fill < ways {
+                    self.fill[set_idx] = fill + 1;
+                }
+                (false, fill.min(ways - 1))
             }
-            set.push_front(line);
+        };
+        set.copy_within(..shifted, 1);
+        set[0] = line;
+        if hit {
+            self.stats.hits += 1;
+        } else {
             self.stats.misses += 1;
-            false
         }
+        hit
     }
 
     /// Current counters.
@@ -160,9 +177,7 @@ impl Cache {
 
     /// Clears contents and counters.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.fill.fill(0);
         self.stats = CacheStats::default();
     }
 }
@@ -239,6 +254,94 @@ mod tests {
         assert_eq!(s.miss_ratio(), 0.5);
         assert!(s.to_string().contains("50.00%"));
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
+    }
+
+    /// The straightforward model the flat array replaced: one `VecDeque`
+    /// per set, MRU at the front.
+    struct DequeModel {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<std::collections::VecDeque<u64>>,
+    }
+
+    impl DequeModel {
+        fn new(config: CacheConfig) -> DequeModel {
+            DequeModel {
+                line_bytes: config.line_bytes as u64,
+                ways: config.associativity,
+                sets: vec![std::collections::VecDeque::new(); config.num_sets()],
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            let hit = match set.iter().position(|&t| t == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => {
+                    if set.len() == self.ways {
+                        set.pop_back();
+                    }
+                    false
+                }
+            };
+            set.push_front(line);
+            hit
+        }
+    }
+
+    #[test]
+    fn flat_lru_matches_the_deque_model_on_random_streams() {
+        let geometries = [
+            (64, 16, 2),        // 2 sets
+            (2048, 64, 2),      // the locality workload's cache
+            (4096, 64, 4),      // the locality bench's cache
+            (128, 32, 4),       // fully associative: one set
+            (64, 16, 1),        // direct-mapped
+            (192, 16, 4),       // 3 sets: not a power of two
+            (480, 24, 2),       // 24 B lines, 10 sets
+            (32 * 1024, 64, 8), // L1
+        ];
+        // splitmix64: a fixed, dependency-free address stream.
+        let mut state = 0x15u64;
+        let mut next_u64 = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (size_bytes, line_bytes, associativity) in geometries {
+            let config = CacheConfig {
+                size_bytes,
+                line_bytes,
+                associativity,
+            };
+            // Address ranges a few times the capacity, so both hits and
+            // evictions are common.
+            for span in [size_bytes as u64 / 2, 3 * size_bytes as u64, 1 << 40] {
+                let mut flat = Cache::new(config);
+                let mut model = DequeModel::new(config);
+                for k in 0..20_000 {
+                    let addr = next_u64() % span;
+                    assert_eq!(
+                        flat.access(addr),
+                        model.access(addr),
+                        "{config:?}, span {span}: access {k} at {addr}"
+                    );
+                }
+                let s = flat.stats();
+                assert_eq!(s.accesses, 20_000);
+                assert!(s.misses > 0, "{config:?}, span {span}");
+                if span < (1 << 40) {
+                    assert!(s.hits > 0, "{config:?}, span {span}");
+                }
+            }
+        }
     }
 
     #[test]

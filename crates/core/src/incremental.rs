@@ -44,7 +44,7 @@
 use crate::sequence::{IllegalReason, SequenceError, Step, TransformSeq};
 use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey};
 use crate::template::Template;
-use irlt_dependence::DepSet;
+use irlt_dependence::{DepSet, Fingerprint128 as _};
 use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use std::fmt;
@@ -203,6 +203,18 @@ impl SeqState {
         &self.mapped
     }
 
+    /// A 128-bit key for deduplicating states by shape. With a
+    /// [`SharedLegalityCache`] attached it is the shape's interned id
+    /// (exact: equal keys ⟺ equal shapes, and free to read); without one
+    /// it is the shape's 128-bit structural fingerprint. Keys of states
+    /// with and without a cache are not comparable with each other.
+    pub fn shape_key(&self) -> u128 {
+        match self.skey {
+            Some(key) => u128::from(key.shape),
+            None => self.shape.fingerprint128(),
+        }
+    }
+
     /// The shared handle behind [`SeqState::shape`] (pool-canonical when
     /// a cache is attached).
     #[cfg(test)]
@@ -347,11 +359,14 @@ impl SeqState {
                 return Err(ExtendError::Illegal(reason));
             }
         };
-        let mapped = match self.mapped.try_map_vectors_observed(
-            |v| step.map_dep_vector(v),
-            tel,
-            &step.name(),
-        ) {
+        // The fan-out label is rendered only when telemetry records it.
+        let mapped = if tel.is_enabled() {
+            self.mapped
+                .try_map_vectors_observed(|v| step.map_dep_vector(v), tel, &step.name())
+        } else {
+            self.mapped.try_map_vectors(|v| step.map_dep_vector(v))
+        };
+        let mapped = match mapped {
             Ok(mapped) => mapped,
             Err(w) => {
                 tel.incr("legality/reject/dependences");
@@ -660,6 +675,32 @@ mod tests {
         // The default state never recorded anything anywhere.
         assert!(plain.telemetry.report().counters.is_empty());
         assert!(tel.report().counter("legality/extensions") > 0);
+    }
+
+    #[test]
+    fn shape_key_identifies_shapes_with_and_without_a_cache() {
+        let (nest, deps) = stencil();
+        let skew = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
+        let swap = Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap();
+        let cache = SharedLegalityCache::new();
+        for root in [
+            SeqState::root(&nest, &deps),
+            SeqState::root(&nest, &deps).with_shared(cache.clone(), 0),
+        ] {
+            let skewed = root.extend(skew.clone()).unwrap();
+            // Reaching the same shape again gives the same key…
+            assert_eq!(
+                skewed.shape_key(),
+                root.extend(skew.clone()).unwrap().shape_key()
+            );
+            // …a different shape a different one.
+            assert_ne!(skewed.shape_key(), root.shape_key());
+            let swapped = root.extend(swap.clone()).unwrap();
+            assert_ne!(swapped.shape_key(), skewed.shape_key());
+        }
+        // Without a cache the key is the shape's structural fingerprint.
+        let plain = SeqState::root(&nest, &deps);
+        assert_eq!(plain.shape_key(), plain.shape().fingerprint128());
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! out across `std::thread::scope` workers; outcomes are merged in
 //! deterministic (state, move) order, so the result is bit-identical to
 //! the serial path.
+//!
+//! The frontier is zero-copy. A node is its `SeqState` plus its score:
+//! the sequence and shape stay behind the state's `Arc`s (the cache's
+//! pool-canonical ones when a shared cache is attached), candidates are
+//! scored by reference, and a public [`Candidate`] is cloned out only for
+//! the root and for each node that strictly beats the best so far. Beam
+//! dedup keys on [`SeqState::shape_key`], the interned shape id when a
+//! shared cache is attached, and each shape depth's move list is built
+//! once per search and borrowed by every node of that depth.
 
 use crate::cancel::CancelToken;
 use crate::goal::Goal;
@@ -28,7 +37,7 @@ use irlt_core::{
 use irlt_dependence::DepSet;
 use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 
@@ -133,11 +142,24 @@ impl fmt::Display for SearchResult {
     }
 }
 
-/// A frontier node: the public candidate plus its cached legality state.
+/// A frontier node: a legal prefix's cached legality state and its goal
+/// score. The sequence and shape live in the state, behind the
+/// (pool-canonical) `Arc`s it already holds; a [`Candidate`] is built
+/// from a node only when it becomes the best so far.
 #[derive(Clone, Debug)]
 struct Node {
-    cand: Candidate,
     state: SeqState,
+    score: f64,
+}
+
+impl Node {
+    fn candidate(&self) -> Candidate {
+        Candidate {
+            seq: self.state.seq().clone(),
+            score: self.score,
+            shape: self.state.shape().clone(),
+        }
+    }
 }
 
 /// Which arm of the uniform legality test rejected a candidate — the
@@ -163,10 +185,8 @@ enum Outcome {
     Tested(RejectKind),
     /// Legal, but unscorable (code generation or trial scoring failed).
     LegalUnscored,
-    /// Legal and scored. Boxed: a `Node` carries a sequence, shape, and
-    /// cached dependence set (~300 bytes), while every other variant is
-    /// word-sized.
-    Legal(Box<Node>),
+    /// Legal and scored.
+    Legal(Node),
     /// The cancel token fired before this job was evaluated: not counted
     /// anywhere (the search is winding down).
     Cancelled,
@@ -205,24 +225,18 @@ struct EvalCtx<'a> {
     cancel: Option<&'a CancelToken>,
 }
 
-fn evaluate(parent: &Node, template: Template, ctx: EvalCtx<'_>) -> Outcome {
-    match parent.state.extend(template) {
+fn evaluate(parent: &Node, template: &Template, ctx: EvalCtx<'_>) -> Outcome {
+    match parent.state.extend(template.clone()) {
         Err(ExtendError::Sequence(_)) => Outcome::Rejected,
         Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
-        Ok(child) => {
-            let shape = child.shape().clone();
-            match score_candidate(child.seq(), &shape, ctx.nest, ctx.goal, ctx.tel) {
-                None => Outcome::LegalUnscored,
-                Some(score) => Outcome::Legal(Box::new(Node {
-                    cand: Candidate {
-                        seq: child.seq().clone(),
-                        score,
-                        shape,
-                    },
-                    state: child,
-                })),
-            }
-        }
+        Ok(child) => match score_candidate(child.seq(), child.shape(), ctx.nest, ctx.goal, ctx.tel)
+        {
+            None => Outcome::LegalUnscored,
+            Some(score) => Outcome::Legal(Node {
+                state: child,
+                score,
+            }),
+        },
     }
 }
 
@@ -231,11 +245,11 @@ fn evaluate(parent: &Node, template: Template, ctx: EvalCtx<'_>) -> Outcome {
 /// thread count, so the merge downstream is deterministic.
 fn expand(
     frontier: &[Node],
-    jobs: &[(usize, Template)],
+    jobs: &[(usize, &Template)],
     ctx: EvalCtx<'_>,
     threads: usize,
 ) -> Vec<Outcome> {
-    let run = |slice: &[(usize, Template)]| -> Vec<Outcome> {
+    let run = |slice: &[(usize, &Template)]| -> Vec<Outcome> {
         slice
             .iter()
             .map(|(si, t)| {
@@ -245,7 +259,7 @@ fn expand(
                 if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
                     Outcome::Cancelled
                 } else {
-                    evaluate(&frontier[*si], t.clone(), ctx)
+                    evaluate(&frontier[*si], t, ctx)
                 }
             })
             .collect()
@@ -270,15 +284,6 @@ fn expand(
         }
     });
     out
-}
-
-/// Structural fingerprint of a shape for beam dedup: the 128-bit
-/// structural hash the shared cache keys on (no `Display` streaming, no
-/// per-candidate allocation, and collisions negligible at 128 bits —
-/// a silent collision here would silently drop a distinct candidate).
-fn shape_fingerprint(shape: &LoopNest) -> u128 {
-    use irlt_dependence::Fingerprint128 as _;
-    shape.fingerprint128()
 }
 
 /// Searches for the best legal transformation of `nest` under `goal`.
@@ -306,14 +311,6 @@ fn shape_fingerprint(shape: &LoopNest) -> u128 {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig) -> SearchResult {
-    let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
-    // Locality scoring must execute the real body; structural goals only
-    // need the shape.
-    let base_score = match goal {
-        Goal::Locality(_) => goal.score(nest),
-        _ => goal.score(&shape0),
-    }
-    .unwrap_or(f64::NEG_INFINITY);
     let tel = &config.telemetry;
     let mut state = SeqState::root(nest, deps)
         .with_pruning(true)
@@ -321,14 +318,14 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     if let Some(cache) = &config.shared {
         state = state.with_shared(cache.clone(), config.owner);
     }
-    let root = Node {
-        cand: Candidate {
-            seq: TransformSeq::new(nest.depth()),
-            score: base_score,
-            shape: shape0,
-        },
-        state,
-    };
+    // Locality scoring must execute the real body; structural goals only
+    // need the (body-less) root shape.
+    let score = match goal {
+        Goal::Locality(_) => goal.score(nest),
+        _ => goal.score(state.shape()),
+    }
+    .unwrap_or(f64::NEG_INFINITY);
+    let root = Node { state, score };
     let threads = if config.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -339,12 +336,17 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         tel.count("search/beam_width", config.beam_width as u64);
         tel.count("search/max_steps", config.max_steps as u64);
     }
-    let mut best = root.cand.clone();
+    let mut best = root.candidate();
     let mut frontier = vec![root];
     let mut explored = 0usize;
     let mut legal = 0usize;
     let mut timed_out = false;
+    // Beam dedup on `SeqState::shape_key`: the interned shape id with a
+    // shared cache (exact), the structural fingerprint without one.
     let mut seen_shapes: HashSet<u128> = HashSet::new();
+    // The catalog's move list per shape depth, built once per search and
+    // borrowed by every frontier node of that depth.
+    let mut moves: HashMap<usize, Vec<Template>> = HashMap::new();
 
     for depth in 0..config.max_steps {
         if config
@@ -355,14 +357,16 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             timed_out = true;
             break;
         }
-        let jobs: Vec<(usize, Template)> = frontier
+        for node in &frontier {
+            let d = node.state.shape().depth();
+            moves.entry(d).or_insert_with(|| config.catalog.moves(d));
+        }
+        let jobs: Vec<(usize, &Template)> = frontier
             .iter()
             .enumerate()
             .flat_map(|(si, node)| {
-                config
-                    .catalog
-                    .moves(node.cand.shape.depth())
-                    .into_iter()
+                moves[&node.state.shape().depth()]
+                    .iter()
                     .map(move |t| (si, t))
             })
             .collect();
@@ -400,24 +404,19 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
                     explored += 1;
                     legal += 1;
                     n_legal += 1;
-                    if !seen_shapes.insert(shape_fingerprint(&node.cand.shape)) {
+                    if !seen_shapes.insert(node.state.shape_key()) {
                         n_deduped += 1;
                         continue;
                     }
-                    if node.cand.score > best.score {
-                        best = node.cand.clone();
+                    if node.score > best.score {
+                        best = node.candidate();
                     }
-                    next.push(*node);
+                    next.push(node);
                 }
                 Outcome::Cancelled => timed_out = true,
             }
         }
-        next.sort_by(|a, b| {
-            b.cand
-                .score
-                .partial_cmp(&a.cand.score)
-                .expect("finite scores")
-        });
+        next.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
         next.truncate(config.beam_width);
         if let (Some(t0), Some(t1)) = (expand_start, merge_start) {
             let d = format!("search/depth.{depth}");
@@ -431,7 +430,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             tel.count(&format!("{d}/shape_deduped"), n_deduped);
             tel.count(&format!("{d}/beam_kept"), next.len() as u64);
             for node in &next {
-                tel.observe("search/score", node.cand.score);
+                tel.observe("search/score", node.score);
             }
             tel.record_span("search/expand", t1.duration_since(t0));
             tel.record_span("search/merge", t1.elapsed());
@@ -688,9 +687,9 @@ mod tests {
             Outcome::Tested(kind) => Verdict::Tested(kind),
             Outcome::LegalUnscored => Verdict::LegalUnscored,
             Outcome::Legal(node) => Verdict::Legal {
-                seq: node.cand.seq.to_string(),
-                shape: node.cand.shape,
-                score_bits: node.cand.score.to_bits(),
+                seq: node.state.seq().to_string(),
+                shape: node.state.shape().clone(),
+                score_bits: node.score.to_bits(),
             },
             Outcome::Cancelled => unreachable!("no cancel token"),
         }
@@ -744,28 +743,25 @@ mod tests {
             cancel: None,
         };
         let mut frontier = vec![Node {
-            cand: Candidate {
-                seq: TransformSeq::new(nest.depth()),
-                score: 0.0,
-                shape: LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new()),
-            },
             state: SeqState::root(nest, &deps).with_pruning(true),
+            score: 0.0,
         }];
         let (mut explored, mut legal) = (0, 0);
         let mut seen = HashSet::new();
         for _ in 0..cfg.max_steps {
             let mut next = Vec::new();
             for node in &frontier {
-                for t in cfg.catalog.moves(node.cand.shape.depth()) {
-                    let expected = reference_evaluate(&node.cand.seq, t.clone(), nest, &deps, goal);
-                    let outcome = evaluate(node, t.clone(), ctx);
+                for t in cfg.catalog.moves(node.state.shape().depth()) {
+                    let expected =
+                        reference_evaluate(node.state.seq(), t.clone(), nest, &deps, goal);
+                    let outcome = evaluate(node, &t, ctx);
                     if let Outcome::Legal(child) = &outcome {
-                        if seen.insert(shape_fingerprint(&child.cand.shape)) {
-                            next.push((**child).clone());
+                        if seen.insert(child.state.shape_key()) {
+                            next.push(child.clone());
                         }
                     }
                     let got = verdict(outcome);
-                    assert_eq!(got, expected, "{} + {t}", node.cand.seq);
+                    assert_eq!(got, expected, "{} + {t}", node.state.seq());
                     explored += usize::from(got != Verdict::Rejected);
                     legal += usize::from(matches!(
                         got,
@@ -773,7 +769,7 @@ mod tests {
                     ));
                 }
             }
-            next.sort_by(|a, b| b.cand.score.partial_cmp(&a.cand.score).unwrap());
+            next.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
             next.truncate(cfg.beam_width);
             if next.is_empty() {
                 break;
@@ -842,12 +838,8 @@ mod tests {
         let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let deps = analyze_dependences(&nest);
         let root = Node {
-            cand: Candidate {
-                seq: TransformSeq::new(nest.depth()),
-                score: 0.0,
-                shape: nest.clone(),
-            },
             state: SeqState::root(&nest, &deps),
+            score: 0.0,
         };
         let tel = Telemetry::disabled();
         let ctx = EvalCtx {
@@ -856,7 +848,7 @@ mod tests {
             tel: &tel,
             cancel: None,
         };
-        let outcome = evaluate(&root, Template::parallelize(vec![true, false]), ctx);
+        let outcome = evaluate(&root, &Template::parallelize(vec![true, false]), ctx);
         assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
     }
 
@@ -971,13 +963,5 @@ mod tests {
         let tokened = search(&nest, &deps, &Goal::OuterParallel, &cfg);
         assert!(!tokened.timed_out);
         assert_identical(&[plain, tokened]);
-    }
-
-    #[test]
-    fn shape_fingerprint_distinguishes_shapes() {
-        let a = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
-        let b = parse_nest("do j = 2, m\n a(j) = 0\nenddo").unwrap();
-        assert_ne!(shape_fingerprint(&a), shape_fingerprint(&b));
-        assert_eq!(shape_fingerprint(&a), shape_fingerprint(&a.clone()));
     }
 }
