@@ -53,8 +53,6 @@ use std::sync::Arc;
 /// Cached legality state of one legal sequence prefix: the sequence, the
 /// shape it produces, and the dependence set mapped through it.
 ///
-/// Also exported as [`LegalityCache`].
-///
 /// # Examples
 ///
 /// ```
@@ -95,10 +93,6 @@ pub struct SeqState {
     /// attached.
     skey: Option<StateKey>,
 }
-
-/// Alias for [`SeqState`] naming its role: the cache that lets
-/// `TransformSeq` extension reuse the parent's already-mapped set.
-pub type LegalityCache = SeqState;
 
 impl SeqState {
     /// The root state: the identity sequence on `nest`, a body-less copy
@@ -360,12 +354,14 @@ impl SeqState {
             }
         };
         // The fan-out label is rendered only when telemetry records it.
-        let mapped = if tel.is_enabled() {
-            self.mapped
-                .try_map_vectors_observed(|v| step.map_dep_vector(v), tel, &step.name())
+        let label = if tel.is_enabled() {
+            step.name()
         } else {
-            self.mapped.try_map_vectors(|v| step.map_dep_vector(v))
+            String::new()
         };
+        let mapped = self
+            .mapped
+            .try_map_vectors_observed(|v| step.map_dep_vector(v), tel, &label);
         let mapped = match mapped {
             Ok(mapped) => mapped,
             Err(w) => {

@@ -70,7 +70,7 @@ mod template;
 pub use bounds::{BoundsMatrices, MatrixEntry};
 pub use codegen::ApplyError;
 pub use depmap::{blockmap, imap, mergedirs, parmap};
-pub use incremental::{ExtendError, LegalityCache, SeqState};
+pub use incremental::{ExtendError, SeqState};
 pub use oracle::{
     compare_domain, cross_check, record_outcome, CompareDomain, CrossCheckOutcome, OracleVerdict,
 };

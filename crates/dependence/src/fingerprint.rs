@@ -190,10 +190,11 @@ pub fn fp128<T: Hash + ?Sized>(value: &T) -> u128 {
 
 /// Types with a canonical 128-bit structural fingerprint.
 ///
-/// The blanket rule is `fp128(self)` over `#[derive(Hash)]`; types with a
-/// faster structural digest (e.g. [`crate::DepSet`], which folds its
-/// packed member words directly) override it, **but must stay consistent
-/// with equality**: `a == b` ⟹ `a.fingerprint128() == b.fingerprint128()`.
+/// The usual rule is `fp128(self)` over `#[derive(Hash)]`; types without a
+/// derived `Hash` (e.g. [`crate::DepSet`], which hashes its members and
+/// skips its dedup index) implement it by hand, **but must stay
+/// consistent with equality**: `a == b` ⟹
+/// `a.fingerprint128() == b.fingerprint128()`.
 pub trait Fingerprint128 {
     /// The structural fingerprint.
     fn fingerprint128(&self) -> u128;

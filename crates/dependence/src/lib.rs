@@ -32,13 +32,11 @@
 mod analysis;
 pub mod fingerprint;
 pub mod intern;
-pub mod packed;
 mod set;
 mod vector;
 
 pub use analysis::{analyze_dependences, analyze_dependences_detailed, DepKind, Dependence};
 pub use fingerprint::{fp128, Fingerprint128, Fp128Hasher};
 pub use intern::{Interned, Interner, InternerStats};
-pub use packed::PackedDepVector;
 pub use set::{ArityMismatch, DepSet};
 pub use vector::{DepElem, DepParseError, DepVector, Dir};

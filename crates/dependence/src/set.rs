@@ -5,10 +5,8 @@
 //! no lexicographically negative tuple* (§3.2).
 
 use crate::fingerprint::{Fingerprint128, Fp128Hasher};
-use crate::packed::PackedDepVector;
 use crate::vector::{DepElem, DepVector, Dir};
 use irlt_obs::Telemetry;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -33,12 +31,6 @@ use std::hash::{Hash, Hasher};
 #[derive(Clone, Default)]
 pub struct DepSet {
     vectors: Vec<DepVector>,
-    /// Bit-packed mirror of `vectors` (`None` where a member doesn't
-    /// pack — too long, or a distance outside ±124). The packed form is
-    /// the hot representation: legality tests, dedup hashing, and the
-    /// structural fingerprint all run on the words when available, and
-    /// the boxed vector stays authoritative for everything else.
-    packed: Vec<Option<PackedDepVector>>,
     /// Vector hash → indices into `vectors` (collision bucket). Exact
     /// equality is re-verified on lookup, so a 64-bit collision can never
     /// drop a genuinely distinct vector.
@@ -63,8 +55,11 @@ impl fmt::Debug for DepSet {
     }
 }
 
+/// The index hash. The crate's fingerprint hasher is cheaper than SipHash
+/// on vectors of a few entries, and a collision only costs the exact
+/// comparison `insert` always makes.
 fn hash_vector(v: &DepVector) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = Fp128Hasher::new();
     v.hash(&mut h);
     h.finish()
 }
@@ -105,18 +100,6 @@ impl DepSet {
     ///
     /// Returns [`ArityMismatch`] if the arity differs from existing members.
     pub fn insert(&mut self, v: DepVector) -> Result<(), ArityMismatch> {
-        let packed = PackedDepVector::pack(&v);
-        self.insert_inner(v, packed)
-    }
-
-    /// Insert with the packed form already computed (so the mapping hot
-    /// path packs each image exactly once, for both the legality check
-    /// and the dedup hash).
-    fn insert_inner(
-        &mut self,
-        v: DepVector,
-        packed: Option<PackedDepVector>,
-    ) -> Result<(), ArityMismatch> {
         if let Some(first) = self.vectors.first() {
             if first.len() != v.len() {
                 return Err(ArityMismatch {
@@ -125,23 +108,10 @@ impl DepSet {
                 });
             }
         }
-        let hash = match &packed {
-            Some(p) => p.word_hash(),
-            None => hash_vector(&v),
-        };
-        let bucket = self.index.entry(hash).or_default();
-        // Packed equality is injective, so comparing words is exact when
-        // both sides pack; otherwise fall back to boxed comparison.
-        let duplicate = bucket
-            .iter()
-            .any(|&i| match (&packed, &self.packed[i as usize]) {
-                (Some(p), Some(q)) => p == q,
-                _ => self.vectors[i as usize] == v,
-            });
-        if !duplicate {
+        let bucket = self.index.entry(hash_vector(&v)).or_default();
+        if !bucket.iter().any(|&i| self.vectors[i as usize] == v) {
             bucket.push(u32::try_from(self.vectors.len()).expect("set size fits u32"));
             self.vectors.push(v);
-            self.packed.push(packed);
         }
         Ok(())
     }
@@ -176,41 +146,19 @@ impl DepSet {
         self.vectors.iter().any(|v| v.contains_tuple(tuple))
     }
 
-    /// Can member `i` be lexicographically negative? O(1) on the packed
-    /// words when the member packs, boxed scan otherwise.
-    #[inline]
-    fn member_can_be_lex_negative(&self, i: usize) -> bool {
-        match &self.packed[i] {
-            Some(p) => p.can_be_lex_negative(),
-            None => self.vectors[i].can_be_lex_negative(),
-        }
-    }
-
     /// The framework's dependence legality test: `Tuples(D)` contains no
-    /// lexicographically negative tuple. Runs on the packed words (a few
-    /// bit operations per member) wherever members pack.
+    /// lexicographically negative tuple.
     pub fn is_legal(&self) -> bool {
-        !(0..self.vectors.len()).any(|i| self.member_can_be_lex_negative(i))
+        !self.vectors.iter().any(DepVector::can_be_lex_negative)
     }
 
     /// The members that admit a lexicographically negative tuple (the
     /// witnesses reported when a transformation is rejected).
     pub fn lex_negative_witnesses(&self) -> Vec<&DepVector> {
-        (0..self.vectors.len())
-            .filter(|&i| self.member_can_be_lex_negative(i))
-            .map(|i| &self.vectors[i])
+        self.vectors
+            .iter()
+            .filter(|v| v.can_be_lex_negative())
             .collect()
-    }
-
-    /// The packed form of member `k` (`None` if that member doesn't
-    /// pack). Exposed for tests and diagnostics.
-    pub fn packed_member(&self, k: usize) -> Option<PackedDepVector> {
-        self.packed[k]
-    }
-
-    /// How many members are on the packed fast path.
-    pub fn packed_members(&self) -> usize {
-        self.packed.iter().filter(|p| p.is_some()).count()
     }
 
     /// Expands every summary direction (`≥ ≤ ≠ *`) into the equivalent set
@@ -357,30 +305,25 @@ impl DepSet {
     }
 
     /// Maps every member through a per-vector image rule, unioning the
-    /// images with hashed dedup (the shape of every Table 2 rule).
+    /// images with hashed dedup (the shape of every Table 2 rule):
+    /// [`DepSet::map_vectors_observed`] with telemetry off.
     ///
     /// # Panics
     ///
     /// Panics if `f` produces images of differing arity.
-    pub fn map_vectors<F>(&self, mut f: F) -> DepSet
+    pub fn map_vectors<F>(&self, f: F) -> DepSet
     where
         F: FnMut(&DepVector) -> Vec<DepVector>,
     {
-        let mut out = DepSet::new();
-        for v in &self.vectors {
-            for m in f(v) {
-                out.insert(m).expect("uniform image arity");
-            }
-        }
-        out
+        self.map_vectors_observed(f, &Telemetry::disabled(), "")
     }
 
     /// [`DepSet::map_vectors`] with telemetry: records, under
     /// `depmap/fanout/<label>`, the exact histogram of images produced
     /// per input vector — the `2^(j−i+1)` Block/Interleave expansion made
     /// visible — plus the `depmap/vectors_mapped`, `depmap/images`, and
-    /// `depmap/images_deduped` counters. With a disabled handle this is
-    /// exactly `map_vectors` (no formatting, no aggregation).
+    /// `depmap/images_deduped` counters. With a disabled handle nothing
+    /// is formatted or recorded.
     ///
     /// # Panics
     ///
@@ -389,15 +332,14 @@ impl DepSet {
     where
         F: FnMut(&DepVector) -> Vec<DepVector>,
     {
-        if !tel.is_enabled() {
-            return self.map_vectors(f);
-        }
-        let fanout_key = format!("depmap/fanout/{label}");
+        let fanout_key = tel.is_enabled().then(|| format!("depmap/fanout/{label}"));
         let mut out = DepSet::new();
         let mut images = 0u64;
         for v in &self.vectors {
             let mapped = f(v);
-            tel.record(&fanout_key, mapped.len() as u64);
+            if let Some(key) = &fanout_key {
+                tel.record(key, mapped.len() as u64);
+            }
             images += mapped.len() as u64;
             for m in mapped {
                 out.insert(m).expect("uniform image arity");
@@ -411,7 +353,8 @@ impl DepSet {
 
     /// Fail-fast mapping mode: like [`DepSet::map_vectors`], but
     /// short-circuits the moment an image admits a lexicographically
-    /// negative tuple, returning that image as the witness.
+    /// negative tuple, returning that image as the witness;
+    /// [`DepSet::try_map_vectors_observed`] with telemetry off.
     ///
     /// On `Ok`, the result is exactly `map_vectors(f)` and is legal. Note
     /// the asymmetry with the framework's whole-sequence test (§3.2 allows
@@ -427,25 +370,11 @@ impl DepSet {
     /// # Panics
     ///
     /// Panics if `f` produces images of differing arity.
-    pub fn try_map_vectors<F>(&self, mut f: F) -> Result<DepSet, DepVector>
+    pub fn try_map_vectors<F>(&self, f: F) -> Result<DepSet, DepVector>
     where
         F: FnMut(&DepVector) -> Vec<DepVector>,
     {
-        let mut out = DepSet::new();
-        for v in &self.vectors {
-            for m in f(v) {
-                let packed = PackedDepVector::pack(&m);
-                let lex_negative = match &packed {
-                    Some(p) => p.can_be_lex_negative(),
-                    None => m.can_be_lex_negative(),
-                };
-                if lex_negative {
-                    return Err(m);
-                }
-                out.insert_inner(m, packed).expect("uniform image arity");
-            }
-        }
-        Ok(out)
+        self.try_map_vectors_observed(f, &Telemetry::disabled(), "")
     }
 
     /// [`DepSet::try_map_vectors`] with telemetry: the same fail-fast
@@ -454,7 +383,8 @@ impl DepSet {
     /// [`DepSet::map_vectors_observed`], and — when the short-circuit
     /// fires — `depmap/failfast_short_circuits` together with
     /// `depmap/vectors_skipped` (members never mapped because an earlier
-    /// image was already lexicographically negative).
+    /// image was already lexicographically negative). With a disabled
+    /// handle nothing is formatted or recorded.
     ///
     /// # Errors
     ///
@@ -472,23 +402,17 @@ impl DepSet {
     where
         F: FnMut(&DepVector) -> Vec<DepVector>,
     {
-        if !tel.is_enabled() {
-            return self.try_map_vectors(f);
-        }
-        let fanout_key = format!("depmap/fanout/{label}");
+        let fanout_key = tel.is_enabled().then(|| format!("depmap/fanout/{label}"));
         let mut out = DepSet::new();
         let mut images = 0u64;
         for (k, v) in self.vectors.iter().enumerate() {
             let mapped = f(v);
-            tel.record(&fanout_key, mapped.len() as u64);
+            if let Some(key) = &fanout_key {
+                tel.record(key, mapped.len() as u64);
+            }
             images += mapped.len() as u64;
             for m in mapped {
-                let packed = PackedDepVector::pack(&m);
-                let lex_negative = match &packed {
-                    Some(p) => p.can_be_lex_negative(),
-                    None => m.can_be_lex_negative(),
-                };
-                if lex_negative {
+                if m.can_be_lex_negative() {
                     tel.count("depmap/vectors_mapped", (k + 1) as u64);
                     tel.count(
                         "depmap/vectors_skipped",
@@ -498,7 +422,7 @@ impl DepSet {
                     tel.incr("depmap/failfast_short_circuits");
                     return Err(m);
                 }
-                out.insert_inner(m, packed).expect("uniform image arity");
+                out.insert(m).expect("uniform image arity");
             }
         }
         tel.count("depmap/vectors_mapped", self.vectors.len() as u64);
@@ -512,29 +436,15 @@ fn self_insert_infallible(set: &mut DepSet, v: DepVector) {
     set.insert(v).expect("uniform arity by construction");
 }
 
-/// The structural fingerprint folds the packed words directly (one
-/// tagged absorb per member) and falls back to hashing the boxed vector
-/// for members that don't pack. Consistent with [`PartialEq`]: equal
-/// sets have identical member sequences, hence identical packed mirrors,
-/// hence equal fingerprints.
+/// The structural fingerprint hashes the member count and then each
+/// member in order. Consistent with [`PartialEq`]: equal sets have
+/// identical member sequences, hence equal fingerprints.
 impl Fingerprint128 for DepSet {
     fn fingerprint128(&self) -> u128 {
         let mut h = Fp128Hasher::new();
         h.write_usize(self.vectors.len());
-        for (k, v) in self.vectors.iter().enumerate() {
-            match &self.packed[k] {
-                Some(p) => {
-                    let w = p.words();
-                    h.write_u8(1);
-                    h.write_u64(w[0]);
-                    h.write_u64(w[1]);
-                    h.write_u8(p.len() as u8);
-                }
-                None => {
-                    h.write_u8(0);
-                    v.hash(&mut h);
-                }
-            }
+        for v in &self.vectors {
+            v.hash(&mut h);
         }
         h.finish128()
     }
@@ -906,22 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_mirror_tracks_members() {
-        let mut d = DepSet::from_distances(&[&[1, 0], &[0, 1]]);
-        assert_eq!(d.packed_members(), 2);
-        assert_eq!(d.packed_member(0).unwrap().unpack(), d.vectors()[0]);
-        // An out-of-range distance stays on the boxed path, and legality
-        // still agrees with the boxed test.
-        d.insert(DepVector::distances(&[100_000, -1])).unwrap();
-        assert_eq!(d.packed_members(), 2);
-        assert!(d.packed_member(2).is_none());
-        assert!(d.is_legal());
-        d.insert(DepVector::distances(&[-100_000, 0])).unwrap();
-        assert!(!d.is_legal());
-        assert_eq!(d.lex_negative_witnesses().len(), 1);
-    }
-
-    #[test]
     fn fingerprint_is_structural() {
         use crate::fingerprint::Fingerprint128;
         let a = DepSet::from_distances(&[&[1, 0], &[0, 1]]);
@@ -931,7 +825,7 @@ mod tests {
         assert_eq!(a.fingerprint128(), b.fingerprint128());
         assert_ne!(a.fingerprint128(), c.fingerprint128());
         assert_ne!(a.fingerprint128(), d.fingerprint128());
-        // Unpackable members still fingerprint deterministically.
+        // Large distances fingerprint deterministically.
         let big1 = DepSet::from_distances(&[&[1_000_000]]);
         let big2 = DepSet::from_distances(&[&[1_000_000]]);
         let big3 = DepSet::from_distances(&[&[1_000_001]]);

@@ -7,7 +7,7 @@ use irlt_dependence::analyze_dependences;
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::{search, CancelToken, SearchConfig};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -186,6 +186,38 @@ impl fmt::Display for BatchResult {
     }
 }
 
+/// Opens the shared legality cache for a pool of `workers` threads and
+/// warm-starts it from the `irlt-cache/v1` snapshot at `load`, if any.
+///
+/// `shards == 0` auto-sizes to `next_power_of_two(workers * 4)`. Any
+/// failure to load — unreadable file, bad magic/version, truncation,
+/// checksum mismatch, malformed payload — leaves the cache cold and
+/// untouched and calls `on_reject(path, reason)`; the caller decides how
+/// to report it. Returns the cache and, when the snapshot loaded, what it
+/// restored.
+pub fn open_shared_cache(
+    capacity: usize,
+    shards: usize,
+    workers: usize,
+    load: Option<&Path>,
+    on_reject: impl FnOnce(&Path, &str),
+) -> (SharedLegalityCache, Option<SnapshotLoadStats>) {
+    let shards = if shards == 0 {
+        (workers * 4).next_power_of_two()
+    } else {
+        shards
+    };
+    let cache = SharedLegalityCache::with_config(capacity, shards, KeyMode::default());
+    let stats = load.and_then(|path| {
+        std::fs::read(path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| cache.load_snapshot(&bytes).map_err(|e| e.to_string()))
+            .map_err(|why| on_reject(path, &why))
+            .ok()
+    });
+    (cache, stats)
+}
+
 /// Runs every job to a result, sharded across a work-stealing pool.
 ///
 /// Per-job results are **deterministic**: bit-identical across worker
@@ -203,37 +235,29 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         config.threads
     };
     let tel = &config.telemetry;
-    let cache = config.shared_cache.then(|| {
-        let shards = if config.cache_shards == 0 {
-            (workers * 4).next_power_of_two()
-        } else {
-            config.cache_shards
-        };
-        SharedLegalityCache::with_config(config.cache_capacity, shards, KeyMode::default())
-    });
-    // Warm start. Any failure — unreadable file, bad magic/version,
-    // truncation, checksum mismatch, malformed payload — degrades to a
-    // cold start with the cache untouched.
-    let mut snapshot = None;
     let mut snapshot_rejected = false;
-    if let (Some(cache), Some(path)) = (&cache, &config.cache_load) {
-        let loaded = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| cache.load_snapshot(&bytes).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(stats) => snapshot = Some(stats),
-            Err(why) => {
-                eprintln!(
-                    "warning: cache snapshot {} rejected ({why}); starting cold",
-                    path.display()
-                );
-                snapshot_rejected = true;
-                if tel.is_enabled() {
-                    tel.incr("driver/cache/snapshot_rejected");
-                }
-            }
-        }
-    }
+    let (cache, snapshot) = config
+        .shared_cache
+        .then(|| {
+            open_shared_cache(
+                config.cache_capacity,
+                config.cache_shards,
+                workers,
+                config.cache_load.as_deref(),
+                |path, why| {
+                    eprintln!(
+                        "warning: cache snapshot {} rejected ({why}); starting cold",
+                        path.display()
+                    );
+                    snapshot_rejected = true;
+                    if tel.is_enabled() {
+                        tel.incr("driver/cache/snapshot_rejected");
+                    }
+                },
+            )
+        })
+        .unzip();
+    let snapshot = snapshot.flatten();
     let queues = WorkQueues::new(workers);
     for (k, _) in jobs.iter().enumerate() {
         match config.sharding {

@@ -53,7 +53,9 @@ mod job;
 mod manifest;
 mod pool;
 
-pub use batch::{execute_job, run_batch, BatchConfig, BatchResult, ExecOptions, Sharding};
+pub use batch::{
+    execute_job, open_shared_cache, run_batch, BatchConfig, BatchResult, ExecOptions, Sharding,
+};
 pub use corpus::demo_corpus;
 pub use job::{Job, JobResult, JobStatus};
 pub use manifest::{load_manifest, ManifestError};

@@ -32,7 +32,7 @@
 use crate::protocol::{Event, RejectReason, Request};
 use crate::queue::{Admission, Gate, Rejection, Ticket};
 use irlt_core::{SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
-use irlt_driver::{execute_job, ExecOptions, Job, JobStatus};
+use irlt_driver::{execute_job, open_shared_cache, ExecOptions, Job, JobStatus};
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::CancelToken;
 use std::io::{BufRead, BufReader, Write};
@@ -480,36 +480,31 @@ impl ServerHandle {
 
 fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inner {
     let tel = cfg.telemetry.clone();
-    let cache = cfg.shared_cache.then(|| {
-        let shards = if cfg.cache_shards == 0 {
-            (workers * 4).next_power_of_two()
-        } else {
-            cfg.cache_shards
-        };
-        SharedLegalityCache::with_config(cfg.cache_capacity, shards, irlt_core::KeyMode::default())
-    });
     // Warm start, with irlt-batch's degradation contract: any rejected
     // snapshot means a cold start, never a refusal to serve.
-    let mut snapshot_loaded = None;
     let mut snapshot_rejected = false;
-    if let (Some(cache), Some(path)) = (&cache, &cfg.cache_load) {
-        let loaded = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| cache.load_snapshot(&bytes).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(stats) => snapshot_loaded = Some(stats),
-            Err(why) => {
-                eprintln!(
-                    "warning: cache snapshot {} rejected ({why}); serving cold",
-                    path.display()
-                );
-                snapshot_rejected = true;
-                if tel.is_enabled() {
-                    tel.incr("serve/snapshot/load_rejected");
-                }
-            }
-        }
-    }
+    let (cache, snapshot_loaded) = cfg
+        .shared_cache
+        .then(|| {
+            open_shared_cache(
+                cfg.cache_capacity,
+                cfg.cache_shards,
+                workers,
+                cfg.cache_load.as_deref(),
+                |path, why| {
+                    eprintln!(
+                        "warning: cache snapshot {} rejected ({why}); serving cold",
+                        path.display()
+                    );
+                    snapshot_rejected = true;
+                    if tel.is_enabled() {
+                        tel.incr("serve/snapshot/load_rejected");
+                    }
+                },
+            )
+        })
+        .unzip();
+    let snapshot_loaded = snapshot_loaded.flatten();
     Inner {
         admission: Admission::new(cfg.queue_high_water),
         socket,

@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use irlt_core::{
         catalog, compare_domain, cross_check, BoundsMatrices, CompareDomain, CrossCheckOutcome,
-        ExtendError, KernelTemplate, KeyMode, LegalityCache, LegalityReport, OracleVerdict,
-        Permutation, SeqState, SharedLegalityCache, Template, TransformSeq,
+        ExtendError, KernelTemplate, KeyMode, LegalityReport, OracleVerdict, Permutation, SeqState,
+        SharedLegalityCache, Template, TransformSeq,
     };
     pub use irlt_dependence::{
         analyze_dependences, analyze_dependences_detailed, DepElem, DepSet, DepVector, Dir,

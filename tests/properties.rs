@@ -462,72 +462,15 @@ fn shared_cache_matches_fresh_chains() {
     );
 }
 
-/// Every packable element — all six `Dir` values plus in-range
-/// distances — survives a pack → unpack round trip at every length
-/// `1..=8`, and packed equality coincides with vector equality.
+/// Set-level legality and the `try_map_vectors` fail-fast mapping agree
+/// exactly with a reference computed member-by-member on `DepVector`s,
+/// on ≥ 200 random dependence sets mixing all six direction values and
+/// distances up to and past ±124.
 #[test]
-fn packed_vector_roundtrip() {
-    use irlt::dependence::{DepElem, Dir, PackedDepVector};
-    check(
-        "packed_vector_roundtrip",
-        &corpus_cfg(200),
-        |rng| {
-            let len = rng.gen_range(1..=8usize);
-            (0..len)
-                .map(|_| match rng.gen_range(0..8usize) {
-                    0..=5 => (0i64, rng.gen_range(0..6i64)),
-                    // Distances, including the ±124 packing boundary.
-                    6 => (rng.gen_range(-124..=124i64), -1),
-                    _ => (*rng.choose(&[-124, -1, 0, 1, 124]).unwrap(), -1),
-                })
-                .collect::<Vec<(i64, i64)>>()
-        },
-        |_| Vec::new(),
-        |encoded| {
-            let elems: Vec<DepElem> = encoded
-                .iter()
-                .map(|&(dist, dir)| match dir {
-                    -1 => DepElem::Dist(dist),
-                    d => DepElem::Dir(Dir::ALL[d as usize]),
-                })
-                .collect();
-            let v = DepVector::new(elems.clone());
-            let p = PackedDepVector::pack(&v).expect("palette is packable");
-            prop_assert_eq!(p.len(), v.len());
-            prop_assert_eq!(&p.unpack(), &v);
-            for (k, e) in elems.iter().enumerate() {
-                prop_assert_eq!(&p.entry(k), e);
-            }
-            // Packed equality ⟺ vector equality (injective encoding):
-            // re-packing an equal vector gives an equal packed value…
-            prop_assert_eq!(PackedDepVector::pack(&v.clone()).unwrap(), p);
-            // …and perturbing any one entry changes it.
-            for k in 0..elems.len() {
-                let mut other = elems.clone();
-                other[k] = match other[k] {
-                    DepElem::Dist(d) if d < 124 => DepElem::Dist(d + 1),
-                    DepElem::Dist(d) => DepElem::Dist(d - 1),
-                    _ => DepElem::Dist(77),
-                };
-                let q = PackedDepVector::pack(&DepVector::new(other)).unwrap();
-                prop_assert!(q != p, "distinct vectors packed equal at entry {k}");
-            }
-            CaseResult::Pass
-        },
-    );
-}
-
-/// The packed fast path is *semantics-preserving*: on ≥ 200 random
-/// dependence sets — mixing all six direction values, packable
-/// distances, and out-of-range distances that fall back to the boxed
-/// representation — the packed lexicographic-negativity test and the
-/// `try_map_vectors` fail-fast mapping agree exactly with the unpacked
-/// reference computed member-by-member on `DepVector`s.
-#[test]
-fn packed_legality_and_mapping_match_unpacked() {
-    use irlt::dependence::{DepElem, Dir, PackedDepVector};
+fn fail_fast_mapping_matches_member_reference() {
+    use irlt::dependence::{DepElem, Dir};
     let palette = [
-        DepElem::Dist(-125), // unpackable: boxed fallback
+        DepElem::Dist(-125),
         DepElem::Dist(-124),
         DepElem::Dist(-2),
         DepElem::Dist(-1),
@@ -535,7 +478,7 @@ fn packed_legality_and_mapping_match_unpacked() {
         DepElem::Dist(1),
         DepElem::Dist(3),
         DepElem::Dist(124),
-        DepElem::Dist(200), // unpackable: boxed fallback
+        DepElem::Dist(200),
         DepElem::POS,
         DepElem::NEG,
         DepElem::Dir(Dir::NonNeg),
@@ -544,7 +487,7 @@ fn packed_legality_and_mapping_match_unpacked() {
         DepElem::ANY,
     ];
     check(
-        "packed_legality_and_mapping_match_unpacked",
+        "fail_fast_mapping_matches_member_reference",
         &corpus_cfg(200),
         |rng| {
             let arity = rng.gen_range(1..=4usize);
@@ -561,24 +504,15 @@ fn packed_legality_and_mapping_match_unpacked() {
                 .iter()
                 .map(|row| DepVector::new(row.iter().map(|&k| palette[k]).collect()))
                 .collect();
-            // 1. Lexicographic negativity: packed vs boxed, per vector.
-            for v in &vectors {
-                if let Some(p) = PackedDepVector::pack(v) {
-                    prop_assert!(
-                        p.can_be_lex_negative() == v.can_be_lex_negative(),
-                        "packed lex test diverged on {v}"
-                    );
-                }
-            }
-            // 2. Set-level legality goes through the packed mirror.
+            // 1. Set-level legality is the member-wise test.
             let set = DepSet::from_vectors(vectors.clone()).unwrap();
             prop_assert_eq!(
                 set.is_legal(),
                 !vectors.iter().any(DepVector::can_be_lex_negative)
             );
-            // 3. try_map_vectors: the packed fail-fast mapping equals an
-            // unpacked reference (same verdict, same witness, same
-            // members in the same order after exact-equality dedup).
+            // 2. try_map_vectors: the fail-fast mapping equals a
+            // member-by-member reference (same verdict, same witness,
+            // same members in the same order after exact-equality dedup).
             let map = |v: &DepVector| irlt::unimodular::map_dep_vector(m, v);
             let reference: Result<Vec<DepVector>, DepVector> = (|| {
                 let mut out: Vec<DepVector> = Vec::new();
@@ -603,7 +537,7 @@ fn packed_legality_and_mapping_match_unpacked() {
                 }
                 (got, expected) => {
                     return CaseResult::Fail(format!(
-                        "verdicts diverged: packed {got:?} vs reference {expected:?}"
+                        "verdicts diverged: got {got:?} vs reference {expected:?}"
                     ));
                 }
             }
