@@ -3,9 +3,9 @@
 //! cross-nest [`SharedLegalityCache`] on, plus a `fresh` serial baseline
 //! with the cache off, plus a deeper-search workload.
 //!
-//! Three effects are measured:
+//! Four effects are measured:
 //!
-//! * **Sharding** (`t1` vs `t4`/`t8`) — wall-clock scaling from the
+//! * **Parallelism** (`t1` vs `t4`/`t8`) — wall-clock scaling from the
 //!   work-stealing pool; only meaningful on multi-core hosts.
 //! * **Cross-nest sharing** (`fresh` vs `t1`) — algorithmic savings from
 //!   replaying legality subproblems across structurally identical nests,
@@ -19,16 +19,9 @@
 //!   representation's `display_ms` row stays in `BENCH_6.json` and
 //!   `BENCH_8.json` as history.
 //!
-//! PR 8 adds two more effects:
-//!
-//! * **Lock striping** (`shard64/s1` vs `shard64/s16`) — the same serial
-//!   workload through a single-shard cache (the PR 5 layout: one map,
-//!   one lock) and a 16-shard cache. At one thread this isolates the
-//!   striping overhead itself: shard selection is one mask over the
-//!   probe fingerprint, so `s16` must not be slower than `s1`.
 //! * **Warm start** (`warmdeep64/cold` vs `warmdeep64/warm`) — the
 //!   identical deep-search batch started cold vs started from the
-//!   previous run's `irlt-cache/v1` snapshot (`BatchConfig::cache_load`).
+//!   previous run's `irlt-cache/v2` snapshot (`BatchConfig::cache_load`).
 //!   The warm row pays the full load path — read, decode, re-intern,
 //!   insert — and then replays every legality subproblem from
 //!   snapshot-owned entries. The deep workload is where warm start
@@ -89,18 +82,6 @@ fn main() {
     r.bench("driver/deep64/fp", || {
         black_box(run_batch(black_box(&deep), &deep_cfg))
     });
-    // Lock striping at one thread: pure overhead comparison.
-    for (name, shards) in [("s1", 1usize), ("s16", 16)] {
-        let cfg = BatchConfig {
-            threads: 1,
-            cache_shards: shards,
-            telemetry: telemetry.clone(),
-            ..BatchConfig::default()
-        };
-        r.bench(&format!("driver/shard64/{name}"), || {
-            black_box(run_batch(black_box(&jobs), &cfg))
-        });
-    }
     // Cold vs warm start on the deep workload. One priming run records
     // the snapshot; the warm row then pays read + decode + re-intern +
     // load on every iteration, exactly like a second

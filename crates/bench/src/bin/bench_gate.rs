@@ -19,11 +19,9 @@
 //!
 //! CI runs one step per baseline: `search/` against `BENCH_15.json`,
 //! `locality/` against `BENCH_15_locality.json`, and `driver/` against
-//! `BENCH_15_driver.json` and `BENCH_8.json`. Rows a baseline does not
-//! record are skipped. `BENCH_8.json` stays because it alone records
-//! corpus64 t4/t8, shard64 and warmdeep64; its deep64 and corpus64 t1
-//! rows are also in `BENCH_15_driver.json`, so those two are checked
-//! twice.
+//! `BENCH_17_driver.json`, which records every row the driver bench
+//! prints, so each row is checked exactly once. Rows a baseline does not
+//! record are skipped.
 //!
 //! ```text
 //! bench_gate <oneshot.txt> <BENCH_*.json> [tolerance]

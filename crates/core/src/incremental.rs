@@ -30,18 +30,20 @@
 //!
 //! # Subsumption pruning
 //!
-//! With [`SeqState::with_pruning`], cached sets are kept subsumption-free:
-//! a member whose tuple set is covered by another member is dropped.
-//! Pruning preserves `Tuples(D)` at the point it is applied, and it stays
-//! exact through subsequent *built-in* mapping because every Table 2 rule
-//! is monotone in value-set inclusion (if `Tuples(v) ⊆ Tuples(w)` then
-//! every image of `v` is subsumed by some image of `w` — distances embed
-//! into their sign classes, `blockmap`/`imap` rows nest the same way, and
-//! the unimodular rule is interval arithmetic, which is monotone). A
-//! user-defined [`KernelTemplate`](crate::KernelTemplate) need not be
-//! monotone, so pruning is skipped after custom steps.
+//! Cached sets are always kept subsumption-free: the root prunes the
+//! input set and every extension prunes its mapped set, dropping each
+//! member whose tuple set is covered by another member. Pruning preserves
+//! `Tuples(D)` at the point it is applied, and it stays exact through
+//! every later extension because `SeqState` only takes built-in
+//! templates and every Table 2 rule is monotone in value-set inclusion
+//! (if `Tuples(v) ⊆ Tuples(w)` then every image of `v` is subsumed by
+//! some image of `w` — distances embed into their sign classes,
+//! `blockmap`/`imap` rows nest the same way, and the unimodular rule is
+//! interval arithmetic, which is monotone). User-defined
+//! [`KernelTemplate`](crate::KernelTemplate)s need not be monotone; they
+//! go through [`TransformSeq::is_legal`], the reference oracle.
 
-use crate::sequence::{IllegalReason, SequenceError, Step, TransformSeq};
+use crate::sequence::{IllegalReason, SequenceError, TransformSeq};
 use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey};
 use crate::template::Template;
 use irlt_dependence::{DepSet, Fingerprint128 as _};
@@ -80,8 +82,8 @@ pub struct SeqState {
     /// allocation per distinct shape across every job of a batch.
     shape: Arc<LoopNest>,
     /// Likewise pool-shared when a [`SharedLegalityCache`] is attached.
+    /// Always subsumption-pruned (see the module docs).
     mapped: Arc<DepSet>,
-    prune: bool,
     telemetry: Telemetry,
     /// Cross-nest memo table (see [`SharedLegalityCache`]); `None` keeps
     /// every extension local.
@@ -89,14 +91,13 @@ pub struct SeqState {
     /// Identity tag for cross-job hit accounting in the shared cache.
     owner: u64,
     /// This state's precomputed cache key (interned ids); kept in
-    /// lock-step with `(prune, shape, mapped)` whenever `shared` is
-    /// attached.
+    /// lock-step with `(shape, mapped)` whenever `shared` is attached.
     skey: Option<StateKey>,
 }
 
 impl SeqState {
     /// The root state: the identity sequence on `nest`, a body-less copy
-    /// of its shape, and `deps` unmapped.
+    /// of its shape, and `deps` unmapped but subsumption-pruned.
     ///
     /// The root is *not* legality-checked — mirroring the search
     /// convention that the identity transformation is always admissible.
@@ -108,8 +109,7 @@ impl SeqState {
                 Vec::new(),
                 Vec::new(),
             )),
-            mapped: Arc::new(deps.clone()),
-            prune: false,
+            mapped: Arc::new(deps.prune_subsumed()),
             telemetry: Telemetry::disabled(),
             shared: None,
             owner: 0,
@@ -121,11 +121,8 @@ impl SeqState {
     /// `Arc`s) from the attached cache; no-op when no cache is attached.
     fn rekey(&mut self) {
         if let Some(cache) = &self.shared {
-            let (key, shape, mapped) = cache.intern_state(
-                self.prune,
-                Arc::clone(&self.shape),
-                Arc::clone(&self.mapped),
-            );
+            let (key, shape, mapped) =
+                cache.intern_state(Arc::clone(&self.shape), Arc::clone(&self.mapped));
             self.skey = Some(key);
             self.shape = shape;
             self.mapped = mapped;
@@ -146,20 +143,6 @@ impl SeqState {
         self
     }
 
-    /// Enables (or disables) subsumption pruning of the cached set; the
-    /// flag is inherited by every state derived through
-    /// [`SeqState::extend`]. See the module docs for why this is exact
-    /// for built-in templates and skipped after custom ones.
-    #[must_use]
-    pub fn with_pruning(mut self, on: bool) -> SeqState {
-        if on && !self.prune {
-            self.mapped = Arc::new(self.mapped.prune_subsumed());
-        }
-        self.prune = on;
-        self.rekey();
-        self
-    }
-
     /// Attaches a cross-nest [`SharedLegalityCache`]; every state derived
     /// through [`SeqState::extend`] inherits it. `owner` tags deposits so
     /// the cache can distinguish same-job from cross-job hits — pass a
@@ -168,8 +151,7 @@ impl SeqState {
     ///
     /// Cached extensions replay the deposited verdict, shape, and mapped
     /// set **exactly** (see the cache's module docs); results are
-    /// bit-identical with and without the cache attached. Only built-in
-    /// templates consult the cache; custom steps always recompute.
+    /// bit-identical with and without the cache attached.
     #[must_use]
     pub fn with_shared(mut self, cache: SharedLegalityCache, owner: u64) -> SeqState {
         self.shared = Some(cache);
@@ -192,7 +174,7 @@ impl SeqState {
     }
 
     /// The dependence set mapped through the whole prefix
-    /// (`D_k = t_k(…t₁(D)…)`), possibly subsumption-pruned.
+    /// (`D_k = t_k(…t₁(D)…)`), subsumption-pruned.
     pub fn mapped_deps(&self) -> &DepSet {
         &self.mapped
     }
@@ -256,22 +238,13 @@ impl SeqState {
     /// [`ExtendError::Illegal`] with the same [`IllegalReason`] taxonomy
     /// as [`TransformSeq::is_legal`] otherwise.
     pub fn extend(&self, template: Template) -> Result<SeqState, ExtendError> {
-        self.extend_step(Step::Builtin(template))
-    }
-
-    /// Extends the prefix by one step (built-in or custom).
-    ///
-    /// # Errors
-    ///
-    /// As for [`SeqState::extend`].
-    pub fn extend_step(&self, step: Step) -> Result<SeqState, ExtendError> {
         let tel = &self.telemetry;
         let k = self.seq.len();
-        let seq = match &step {
-            Step::Builtin(t) => self.seq.clone().push(t.clone()),
-            Step::Custom(c) => self.seq.clone().push_custom(c.clone()),
-        }
-        .map_err(ExtendError::Sequence)?;
+        let seq = self
+            .seq
+            .clone()
+            .push(template.clone())
+            .map_err(ExtendError::Sequence)?;
         if tel.is_enabled() {
             // Every extension past the chaining check reuses this state's
             // cached mapped set and shape — for a non-root prefix that is
@@ -283,15 +256,14 @@ impl SeqState {
             }
         }
         // Cross-nest replay: the extension outcome is a pure function of
-        // the (prune, shape, mapped, template) key, so a deposited entry
-        // — from this job or any other — substitutes for the whole
-        // precondition/codegen/mapping pipeline below. Custom steps are
-        // never cached (their rendering does not pin their semantics).
-        // The template key is computed once here and reused by the
-        // lookup and any deposit; the state key was computed when this
-        // state was created. Nothing on this path renders a string.
-        let shared_key = match (&self.shared, self.skey, &step) {
-            (Some(cache), Some(skey), Step::Builtin(t)) => Some((skey, cache.template_key(t))),
+        // the (shape, mapped, template) key, so a deposited entry — from
+        // this job or any other — substitutes for the whole
+        // precondition/codegen/mapping pipeline below. The template key is
+        // computed once here and reused by the lookup and any deposit; the
+        // state key was computed when this state was created. Nothing on
+        // this path renders a string.
+        let shared_key = match (&self.shared, self.skey) {
+            (Some(cache), Some(skey)) => Some((skey, cache.template_key(&template))),
             _ => None,
         };
         if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
@@ -307,7 +279,6 @@ impl SeqState {
                         seq,
                         shape,
                         mapped,
-                        prune: self.prune,
                         telemetry: tel.clone(),
                         shared: self.shared.clone(),
                         owner: self.owner,
@@ -338,13 +309,13 @@ impl SeqState {
                 );
             }
         };
-        if let Err(error) = step.check_preconditions(&self.shape) {
+        if let Err(error) = template.check_preconditions(&self.shape) {
             tel.incr("legality/reject/precondition");
             let reason = IllegalReason::Precondition { step: k, error };
             deposit_illegal(&reason);
             return Err(ExtendError::Illegal(reason));
         }
-        let shape = match step.apply_to(&self.shape) {
+        let shape = match template.apply_to(&self.shape) {
             Ok(shape) => shape,
             Err(error) => {
                 tel.incr("legality/reject/codegen");
@@ -353,15 +324,11 @@ impl SeqState {
                 return Err(ExtendError::Illegal(reason));
             }
         };
-        // The fan-out label is rendered only when telemetry records it.
-        let label = if tel.is_enabled() {
-            step.name()
-        } else {
-            String::new()
-        };
-        let mapped = self
-            .mapped
-            .try_map_vectors_observed(|v| step.map_dep_vector(v), tel, &label);
+        let mapped = self.mapped.try_map_vectors_observed(
+            |v| template.map_dep_vector(v),
+            tel,
+            template.name(),
+        );
         let mapped = match mapped {
             Ok(mapped) => mapped,
             Err(w) => {
@@ -371,27 +338,20 @@ impl SeqState {
                 return Err(ExtendError::Illegal(reason));
             }
         };
-        let mapped = if self.prune && matches!(step, Step::Builtin(_)) {
-            let before = mapped.len();
-            let pruned = mapped.prune_subsumed();
-            if tel.is_enabled() {
-                tel.incr("legality/prune/calls");
-                tel.count(
-                    "legality/prune/vectors_dropped",
-                    (before - pruned.len()) as u64,
-                );
-            }
-            pruned
-        } else {
-            mapped
-        };
+        let before = mapped.len();
+        let mapped = mapped.prune_subsumed();
+        if tel.is_enabled() {
+            tel.incr("legality/prune/calls");
+            tel.count(
+                "legality/prune/vectors_dropped",
+                (before - mapped.len()) as u64,
+            );
+        }
         let (skey, shape, mapped) = if let Some(cache) = &self.shared {
-            // Intern the child triple once (this also computes its state
-            // key for *its* future extensions — including after a custom
-            // step, whose children still share) and adopt the canonical
+            // Intern the child pair once (this also computes its state
+            // key for *its* future extensions) and adopt the canonical
             // pool Arcs so identical children across jobs alias.
-            let (child_key, shape, mapped) =
-                cache.intern_state(self.prune, Arc::new(shape), Arc::new(mapped));
+            let (child_key, shape, mapped) = cache.intern_state(Arc::new(shape), Arc::new(mapped));
             if let Some((pkey, tkey)) = shared_key {
                 cache.insert(
                     pkey,
@@ -412,7 +372,6 @@ impl SeqState {
             seq,
             shape,
             mapped,
-            prune: self.prune,
             telemetry: tel.clone(),
             shared: self.shared.clone(),
             owner: self.owner,
@@ -477,8 +436,14 @@ mod tests {
         (nest, DepSet::from_distances(&[&[1, 0], &[0, 1]]))
     }
 
-    /// Grows a chain step by step; every verdict and every cached set must
-    /// match the from-scratch path on the corresponding prefix.
+    /// True when `a` and `b` hold the same member vectors (in any order).
+    fn same_members(a: &DepSet, b: &DepSet) -> bool {
+        a.len() == b.len() && a.iter().all(|v| b.vectors().contains(v))
+    }
+
+    /// Grows a chain step by step; every verdict must match the
+    /// from-scratch path on the corresponding prefix, and every cached set
+    /// must hold exactly the members of the pruned from-scratch set.
     fn assert_chain_matches_scratch(nest: &LoopNest, deps: &DepSet, templates: Vec<Template>) {
         let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
         let mut state = SeqState::root(nest, deps);
@@ -488,7 +453,12 @@ mod tests {
             match state.extend(t) {
                 Ok(next) => {
                     assert!(scratch.is_legal(), "incremental accepted, scratch rejected");
-                    assert_eq!(next.mapped_deps(), &scratch_seq.map_deps(deps));
+                    let oracle = scratch_seq.map_deps(deps).prune_subsumed();
+                    assert!(
+                        same_members(next.mapped_deps(), &oracle),
+                        "{:?} vs {oracle:?}",
+                        next.mapped_deps()
+                    );
                     assert_eq!(next.shape(), &scratch_seq.apply(&shape0).unwrap());
                     state = next;
                 }
@@ -576,8 +546,7 @@ mod tests {
     #[test]
     fn pruning_preserves_verdicts_and_tuples() {
         let (nest, _) = stencil();
-        // (1,0) dominates (1,1)-style distances once merged: build a set
-        // with redundancy.
+        // (+, *) covers (1, 2): a set with redundancy.
         let deps = DepSet::from_vectors(vec![
             irlt_dependence::DepVector::distances(&[1, 2]),
             irlt_dependence::DepVector::new(vec![
@@ -587,29 +556,17 @@ mod tests {
             irlt_dependence::DepVector::distances(&[0, 1]),
         ])
         .unwrap();
-        let plain = SeqState::root(&nest, &deps);
-        let pruned = SeqState::root(&nest, &deps).with_pruning(true);
-        assert_eq!(pruned.mapped_deps().len(), 2);
+        let root = SeqState::root(&nest, &deps);
+        assert_eq!(root.mapped_deps().len(), 2);
         let swap = Template::unimodular(IntMatrix::interchange(2, 0, 1)).unwrap();
         let skew = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
         for t in [skew, swap] {
-            let a = plain.extend(t.clone());
-            let b = pruned.extend(t);
-            assert_eq!(a.is_ok(), b.is_ok());
-            if let (Ok(a), Ok(b)) = (a, b) {
-                // Same tuple set: mutual pairwise-subsumption cover.
-                for v in a.mapped_deps() {
-                    assert!(
-                        b.mapped_deps().iter().any(|w| v.subsumed_by(w)),
-                        "{v} uncovered"
-                    );
-                }
-                for v in b.mapped_deps() {
-                    assert!(
-                        a.mapped_deps().iter().any(|w| v.subsumed_by(w)),
-                        "{v} uncovered"
-                    );
-                }
+            let seq = TransformSeq::new(2).push(t.clone()).unwrap();
+            let extended = root.extend(t);
+            assert_eq!(extended.is_ok(), seq.is_legal(&nest, &deps).is_legal());
+            if let Ok(s) = extended {
+                let oracle = seq.map_deps(&deps).prune_subsumed();
+                assert!(same_members(s.mapped_deps(), &oracle), "{oracle:?}");
             }
         }
     }
@@ -618,9 +575,7 @@ mod tests {
     fn telemetry_counts_cache_hits_and_rejections() {
         let (nest, deps) = stencil();
         let tel = Telemetry::enabled();
-        let root = SeqState::root(&nest, &deps)
-            .with_pruning(true)
-            .with_telemetry(tel.clone());
+        let root = SeqState::root(&nest, &deps).with_telemetry(tel.clone());
         // Legal chain of two steps: skew then interchange.
         let s1 = root
             .extend(Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap())
@@ -641,7 +596,7 @@ mod tests {
         assert_eq!(r.counter("legality/cache/steps_saved"), 1);
         assert_eq!(r.counter("legality/reject/dependences"), 1);
         assert_eq!(r.counter("depmap/failfast_short_circuits"), 1);
-        // Pruning ran after each successful built-in extension.
+        // Pruning ran after each successful extension.
         assert_eq!(r.counter("legality/prune/calls"), 2);
         // Fan-out histograms are labelled by template.
         assert!(
@@ -658,10 +613,8 @@ mod tests {
     fn telemetry_disabled_by_default_and_results_identical() {
         let (nest, deps) = stencil();
         let tel = Telemetry::enabled();
-        let plain = SeqState::root(&nest, &deps).with_pruning(true);
-        let observed = SeqState::root(&nest, &deps)
-            .with_pruning(true)
-            .with_telemetry(tel.clone());
+        let plain = SeqState::root(&nest, &deps);
+        let observed = SeqState::root(&nest, &deps).with_telemetry(tel.clone());
         let t = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
         let a = plain.extend(t.clone()).unwrap();
         let b = observed.extend(t).unwrap();

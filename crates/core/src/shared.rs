@@ -1,8 +1,8 @@
 //! The cross-nest shared legality cache.
 //!
 //! [`SeqState::extend`](crate::SeqState::extend) is a **pure function** of
-//! the parent's `(pruning flag, shape, mapped dependence set)` triple and
-//! the new template instantiation: the chaining check depends only on the
+//! the parent's `(shape, mapped dependence set)` pair and the new
+//! template instantiation: the chaining check depends only on the
 //! shape's depth, the preconditions and bounds mapping only on the shape,
 //! and the dependence mapping only on the mapped set. Nothing about *how*
 //! the parent state was reached — which nest it came from, which prefix
@@ -19,8 +19,8 @@
 //! The shape, the mapped set, and the template are interned into
 //! per-cache pools ([`irlt_dependence::Interner`]) keyed by 128-bit
 //! structural fingerprints with exact-equality verification on every
-//! bucket hit. A probe key is then four machine words — `(prune,
-//! shape_id, mapped_id, template_id)`, all `Copy` — and because interned
+//! bucket hit. A probe key is then three machine words — `(shape_id,
+//! mapped_id, template_id)`, all `Copy` — and because interned
 //! ids are *exact* (equal ids ⟺ equal values), a hit can never conflate
 //! two distinct subproblems: verdicts and mapped sets out of the cache
 //! are bit-identical to recomputation, which the workspace's
@@ -32,7 +32,8 @@
 //! # Sharding
 //!
 //! The memo table is split into `N` lock-striped shards (`N` a power of
-//! two). A probe hashes its key through [`irlt_dependence::fp128`] and
+//! two; the batch and serve pools always use
+//! `next_power_of_two(workers * 4)`). A probe hashes its key through [`irlt_dependence::fp128`] and
 //! masks the low bits to pick a shard, so concurrent workers touching
 //! different keys contend on different mutexes; the fingerprint is used
 //! *only* for stripe selection (never persisted — see
@@ -62,7 +63,7 @@
 //! # Persistence
 //!
 //! A cache can be serialized to a versioned
-//! `irlt-cache/v1` artifact and re-loaded in a later process
+//! `irlt-cache/v2` artifact and re-loaded in a later process
 //! ([`SharedLegalityCache::save_snapshot`] /
 //! [`SharedLegalityCache::load_snapshot`], format spec in
 //! [`crate::snapshot`]): the snapshot stores structural *values* (pools +
@@ -72,9 +73,9 @@
 //! [`SharedLegalityCache::SNAPSHOT_OWNER`]; hits on them are counted
 //! separately (`snapshot_hits`) so cross-run amortization is observable.
 //!
-//! Only built-in templates are cached: a custom
-//! [`KernelTemplate`](crate::KernelTemplate)'s rendering need not
-//! identify its semantics, so custom steps always recompute.
+//! Only built-in templates reach the cache: [`SeqState`] takes nothing
+//! else (custom [`KernelTemplate`](crate::KernelTemplate)s go through
+//! [`TransformSeq::is_legal`](crate::TransformSeq::is_legal)).
 //!
 //! [`SeqState`]: crate::SeqState
 
@@ -82,6 +83,7 @@ use crate::sequence::IllegalReason;
 use crate::template::Template;
 use irlt_dependence::{fp128, DepSet, Interner, InternerStats};
 use irlt_ir::LoopNest;
+use irlt_obs::Json;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,11 +104,10 @@ pub enum KeyMode {
     Fingerprint,
 }
 
-/// A state's identity: `(prune, shape_id, mapped_id)`, ids from this
-/// cache's interners.
+/// A state's identity: `(shape_id, mapped_id)`, ids from this cache's
+/// interners.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct StateKey {
-    pub(crate) prune: bool,
     pub(crate) shape: u32,
     pub(crate) mapped: u32,
 }
@@ -119,7 +120,6 @@ pub(crate) struct TemplateKey(pub(crate) u32);
 /// `Copy` words with derived `Hash`, so building one never allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct ProbeKey {
-    pub(crate) prune: bool,
     pub(crate) shape: u32,
     pub(crate) mapped: u32,
     pub(crate) template: u32,
@@ -128,7 +128,6 @@ pub(crate) struct ProbeKey {
 impl ProbeKey {
     pub(crate) fn new(state: StateKey, template: TemplateKey) -> ProbeKey {
         ProbeKey {
-            prune: state.prune,
             shape: state.shape,
             mapped: state.mapped,
             template: template.0,
@@ -219,6 +218,32 @@ impl fmt::Display for SharedCacheStats {
             self.interner_verifies,
             self.interner_collisions,
         )
+    }
+}
+
+impl SharedCacheStats {
+    /// The counters as one JSON object — the `cache` object of both the
+    /// `irlt-batch` artifact and the `irlt-serve` `stats` payload, so
+    /// tooling reads both with one set of field names.
+    pub fn to_json(&self) -> Json {
+        let int = |v: u64| Json::Int(v as i64);
+        Json::Object(vec![
+            ("hits".into(), int(self.hits)),
+            ("cross_hits".into(), int(self.cross_hits)),
+            ("misses".into(), int(self.misses)),
+            ("inserts".into(), int(self.inserts)),
+            ("evictions".into(), int(self.evictions)),
+            ("entries".into(), int(self.entries)),
+            ("shards".into(), int(self.shards)),
+            ("contended".into(), int(self.contended)),
+            ("snapshot_entries".into(), int(self.snapshot_entries)),
+            ("snapshot_hits".into(), int(self.snapshot_hits)),
+            ("key_probes".into(), int(self.key_probes)),
+            ("interned".into(), int(self.interned_values)),
+            ("interner_hits".into(), int(self.interner_hits)),
+            ("interner_verifies".into(), int(self.interner_verifies)),
+            ("interner_collisions".into(), int(self.interner_collisions)),
+        ])
     }
 }
 
@@ -480,7 +505,6 @@ impl SharedLegalityCache {
     /// state, never per probe.
     pub(crate) fn intern_state(
         &self,
-        prune: bool,
         shape: Arc<LoopNest>,
         mapped: Arc<DepSet>,
     ) -> (StateKey, Arc<LoopNest>, Arc<DepSet>) {
@@ -489,7 +513,6 @@ impl SharedLegalityCache {
         let d = pools.deps.intern_arc(mapped);
         (
             StateKey {
-                prune,
                 shape: s.id,
                 mapped: d.id,
             },
@@ -869,23 +892,21 @@ mod tests {
     }
 
     #[test]
-    fn interned_state_keys_separate_prune_modes_and_shapes() {
+    fn interned_state_keys_separate_shapes() {
         let (nest, deps) = stencil();
         let other = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let cache = SharedLegalityCache::new();
-        let mk = |prune: bool, shape: &LoopNest| {
+        let mk = |shape: &LoopNest| {
             cache
-                .intern_state(prune, Arc::new(shape.clone()), Arc::new(deps.clone()))
+                .intern_state(Arc::new(shape.clone()), Arc::new(deps.clone()))
                 .0
         };
-        let k1 = mk(false, &nest);
-        let k2 = mk(true, &nest);
-        let k3 = mk(false, &other);
+        let k1 = mk(&nest);
+        let k2 = mk(&other);
         assert_ne!(k1, k2);
-        assert_ne!(k1, k3);
         // Re-interning the same state yields the identical key and shares
         // the pooled storage.
-        assert_eq!(k1, mk(false, &nest));
+        assert_eq!(k1, mk(&nest));
         let stats = cache.stats();
         assert!(stats.interner_hits > 0, "{stats}");
         assert_eq!(stats.interner_collisions, 0);

@@ -1,9 +1,8 @@
-//! Persistent snapshots of the shared legality cache (`irlt-cache/v1`).
+//! Persistent snapshots of the shared legality cache (`irlt-cache/v2`).
 //!
 //! A batch run's [`SharedLegalityCache`] is a memo of pure legality
 //! subproblems, so it is valid *across* processes: the same
-//! `(prune, shape, mapped, template)` key always replays the same
-//! outcome. This module serializes the cache to a
+//! `(shape, mapped, template)` key always replays the same outcome. This module serializes the cache to a
 //! versioned, zero-dependency binary artifact and restores it in a later
 //! process, turning the first run's misses into the second run's hits
 //! ([`SharedLegalityCache::save_snapshot`] /
@@ -24,14 +23,14 @@
 //! a separate FNV-1a 64 over the payload bytes, chosen precisely because
 //! it is a fixed, build-independent function.
 //!
-//! # Byte layout (`irlt-cache/v1`)
+//! # Byte layout (`irlt-cache/v2`)
 //!
 //! All integers are little-endian and fixed-width; `vec(X)` is a `u32`
 //! count followed by that many `X`; `str` is a `u32` byte length followed
 //! by UTF-8 bytes.
 //!
 //! ```text
-//! header   := magic[10]=b"irlt-cache"  version:u16=1
+//! header   := magic[10]=b"irlt-cache"  version:u16=2
 //!             payload_len:u64  checksum:u64      (FNV-1a 64 of payload)
 //! payload  := shapes:vec(nest)  deps:vec(depset)  templates:vec(template)
 //!             entries:vec(entry)
@@ -52,8 +51,8 @@
 //!                          5 Interleave n i j vec(expr); n/i/j are u32)
 //! matrix   := rows:u32  cols:u32  cells:i64 × rows·cols
 //! perm     := vec(u32)
-//! entry    := prune:u8  shape:u32  mapped:u32  template:u32  outcome
-//! outcome  := 0:u8  child_prune:u8  child_shape:u32  child_mapped:u32
+//! entry    := shape:u32  mapped:u32  template:u32  outcome
+//! outcome  := 0:u8  child_shape:u32  child_mapped:u32
 //!           | 1:u8  reason
 //! reason   := tag:u8 …    (0 Dependences vec(depvec) · 1 Precondition
 //!                          step:u64 precond · 2 CodeGen step:u64 apply)
@@ -66,6 +65,11 @@
 //! [`SnapshotError`], never a panic, and the cache is untouched unless
 //! the **whole** payload decodes — rejection always degrades to a clean
 //! cold start.
+//!
+//! Version 1 differed only in a pruning-flag byte before each entry's key
+//! and each legal outcome's child key. Every state is pruned since
+//! version 2, so a v1 file is rejected with
+//! [`SnapshotError::BadVersion`] and the run starts cold.
 
 use crate::codegen::ApplyError;
 use crate::precond::PrecondError;
@@ -83,8 +87,8 @@ use std::sync::Arc;
 
 /// `b"irlt-cache"` — the artifact family.
 pub const SNAPSHOT_MAGIC: &[u8; 10] = b"irlt-cache";
-/// Current format version (`irlt-cache/v1`).
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current format version (`irlt-cache/v2`).
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 const HEADER_LEN: usize = 10 + 2 + 8 + 8;
 /// Maximum nesting of recursive structures (`Expr`, guarded `Stmt`) a
@@ -1012,7 +1016,6 @@ fn dec_reason(r: &mut Reader<'_>) -> Result<IllegalReason, SnapshotError> {
 // ---------------------------------------------------------------------
 
 struct DecodedEntry {
-    prune: bool,
     shape: u32,
     mapped: u32,
     template: u32,
@@ -1020,11 +1023,7 @@ struct DecodedEntry {
 }
 
 enum DecodedOutcome {
-    Legal {
-        prune: bool,
-        shape: u32,
-        mapped: u32,
-    },
+    Legal { shape: u32, mapped: u32 },
     Illegal(IllegalReason),
 }
 
@@ -1033,14 +1032,6 @@ struct DecodedPayload {
     deps: Vec<DepSet>,
     templates: Vec<Template>,
     entries: Vec<DecodedEntry>,
-}
-
-fn dec_prune(r: &mut Reader<'_>) -> Result<bool, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(SnapshotError::Malformed("bad prune flag")),
-    }
 }
 
 fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
@@ -1069,7 +1060,6 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
         Ok(())
     };
     for _ in 0..n_entries {
-        let prune = dec_prune(&mut r)?;
         let (shape, mapped, template) = (r.u32()?, r.u32()?, r.u32()?);
         check_ids(shape, mapped)?;
         if template as usize >= n_templates {
@@ -1077,11 +1067,9 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
         }
         let outcome = match r.u8()? {
             0 => {
-                let child_prune = dec_prune(&mut r)?;
                 let (cs, cm) = (r.u32()?, r.u32()?);
                 check_ids(cs, cm)?;
                 DecodedOutcome::Legal {
-                    prune: child_prune,
                     shape: cs,
                     mapped: cm,
                 }
@@ -1090,7 +1078,6 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
             _ => return Err(SnapshotError::Malformed("bad outcome tag")),
         };
         entries.push(DecodedEntry {
-            prune,
             shape,
             mapped,
             template,
@@ -1114,7 +1101,7 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
 
 impl SharedLegalityCache {
     /// Serializes the resident entries and interner pools to an
-    /// `irlt-cache/v1` artifact.
+    /// `irlt-cache/v2` artifact.
     ///
     /// The output is deterministic for a given cache content (pools in id
     /// order, entries sorted by key ids), so saving an unchanged cache
@@ -1136,28 +1123,18 @@ impl SharedLegalityCache {
         // interned after the entry sweep ride along unused; the loader
         // re-interns them in id order, so save→load→save stays a byte
         // fixpoint.
-        let mut entries: Vec<(bool, u32, u32, u32, DecodedOutcome)> = Vec::new();
+        let mut entries: Vec<(u32, u32, u32, DecodedOutcome)> = Vec::new();
         self.for_each_entry(|key, entry| {
             let outcome = match &entry.outcome {
                 &CachedOutcome::Legal {
-                    key:
-                        StateKey {
-                            prune,
-                            shape,
-                            mapped,
-                        },
+                    key: StateKey { shape, mapped },
                     ..
-                } => DecodedOutcome::Legal {
-                    prune,
-                    shape,
-                    mapped,
-                },
+                } => DecodedOutcome::Legal { shape, mapped },
                 CachedOutcome::Illegal(reason) => DecodedOutcome::Illegal(reason.clone()),
             };
-            entries.push((key.prune, key.shape, key.mapped, key.template, outcome));
+            entries.push((key.shape, key.mapped, key.template, outcome));
         });
-        entries
-            .sort_by_key(|&(prune, shape, mapped, template, _)| (prune, shape, mapped, template));
+        entries.sort_by_key(|&(shape, mapped, template, _)| (shape, mapped, template));
 
         // Copy the pools out (cheap Arc bumps) so no lock is held while
         // encoding.
@@ -1189,19 +1166,13 @@ impl SharedLegalityCache {
             enc_template(&mut w, t)?;
         }
         w.len(entries.len())?;
-        for (prune, shape, mapped, template, outcome) in &entries {
-            w.u8(u8::from(*prune));
+        for (shape, mapped, template, outcome) in &entries {
             w.u32(*shape);
             w.u32(*mapped);
             w.u32(*template);
             match outcome {
-                DecodedOutcome::Legal {
-                    prune,
-                    shape,
-                    mapped,
-                } => {
+                DecodedOutcome::Legal { shape, mapped } => {
                     w.u8(0);
-                    w.u8(u8::from(*prune));
                     w.u32(*shape);
                     w.u32(*mapped);
                 }
@@ -1304,21 +1275,15 @@ impl SharedLegalityCache {
         };
         for entry in decoded.entries {
             let probe = ProbeKey {
-                prune: entry.prune,
                 shape: shape_map[entry.shape as usize],
                 mapped: dep_map[entry.mapped as usize],
                 template: template_map[entry.template as usize],
             };
             let outcome = match entry.outcome {
-                DecodedOutcome::Legal {
-                    prune,
-                    shape,
-                    mapped,
-                } => CachedOutcome::Legal {
+                DecodedOutcome::Legal { shape, mapped } => CachedOutcome::Legal {
                     shape: shape_arcs[shape as usize].clone(),
                     mapped: dep_arcs[mapped as usize].clone(),
                     key: StateKey {
-                        prune,
                         shape: shape_map[shape as usize],
                         mapped: dep_map[mapped as usize],
                     },
@@ -1336,7 +1301,8 @@ impl SharedLegalityCache {
 
     /// Atomically persists the cache to `path`, rotating previous
     /// generations — the snapshot hook long-lived services use between
-    /// requests (one-shot batches can keep writing the file directly).
+    /// requests, and the one `irlt-batch --cache-save` uses with no
+    /// history.
     ///
     /// The write is **tear-free**: bytes go to a sibling temporary file
     /// (`<path>.new`), are fsynced, and only then renamed over `path`
@@ -1686,13 +1652,18 @@ mod tests {
             Err(SnapshotError::BadChecksum { .. })
         ));
 
-        // Wrong version.
-        let mut badver = bytes.clone();
-        badver[10] = 0x63;
-        assert!(matches!(
-            SharedLegalityCache::new().load_snapshot(&badver),
-            Err(SnapshotError::BadVersion { found: 0x63 })
-        ));
+        // Wrong versions, including v1 (the layout with pruning flags):
+        // rejected before the payload is read, and the cache stays cold.
+        for found in [1u16, 0x63] {
+            let mut badver = bytes.clone();
+            badver[10..12].copy_from_slice(&found.to_le_bytes());
+            let fresh = SharedLegalityCache::new();
+            assert_eq!(
+                fresh.load_snapshot(&badver),
+                Err(SnapshotError::BadVersion { found })
+            );
+            assert!(fresh.is_empty());
+        }
 
         // Wrong magic.
         let mut badmagic = bytes.clone();

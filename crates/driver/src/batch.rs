@@ -11,20 +11,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// How jobs are distributed over the worker queues before the pool
-/// starts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sharding {
-    /// Job `k` starts on worker `k mod workers` — balanced, steals only
-    /// correct imbalance in job *cost*.
-    #[default]
-    RoundRobin,
-    /// Every job starts on worker 0 — maximally unbalanced, so every
-    /// other worker must steal to contribute. Useful for exercising the
-    /// stealing path deterministically; results are identical either way.
-    Single,
-}
-
 /// Batch-level configuration (per-job settings live on [`Job`]).
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
@@ -36,21 +22,16 @@ pub struct BatchConfig {
     /// Entry capacity of the shared cache before a generational sweep —
     /// the memory-pressure degradation knob.
     pub cache_capacity: usize,
-    /// Lock-striped shards of the shared cache: `0` (the default)
-    /// auto-sizes to `next_power_of_two(workers * 4)` so probes rarely
-    /// collide on a stripe. Results are bit-identical for every shard
-    /// count.
-    pub cache_shards: usize,
-    /// Warm-start: load this `irlt-cache/v1` snapshot into the shared
+    /// Warm-start: load this `irlt-cache/v2` snapshot into the shared
     /// cache before the batch starts. A missing or rejected file
     /// degrades to a clean cold start (warning on stderr,
     /// `driver/cache/snapshot_rejected` counter) — never an error.
     pub cache_load: Option<PathBuf>,
-    /// Save the shared cache as an `irlt-cache/v1` snapshot after the
-    /// batch, so the next run can `cache_load` it.
+    /// Save the shared cache as an `irlt-cache/v2` snapshot after the
+    /// batch, so the next run can `cache_load` it. The write is atomic
+    /// (temporary file, fsync, rename): a crash mid-save leaves the
+    /// previous snapshot intact.
     pub cache_save: Option<PathBuf>,
-    /// Initial job distribution.
-    pub sharding: Sharding,
     /// One sink for the whole pool; disabled by default (no-op, and the
     /// batch is bit-identical with it on or off).
     pub telemetry: Telemetry,
@@ -62,10 +43,8 @@ impl Default for BatchConfig {
             threads: 0,
             shared_cache: true,
             cache_capacity: SharedLegalityCache::DEFAULT_CAPACITY,
-            cache_shards: 0,
             cache_load: None,
             cache_save: None,
-            sharding: Sharding::RoundRobin,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -109,36 +88,16 @@ impl BatchResult {
     pub fn to_json(&self) -> Json {
         let cache = match &self.cache {
             None => Json::Null,
-            Some(s) => Json::Object(vec![
-                ("hits".into(), Json::Int(s.hits as i64)),
-                ("cross_hits".into(), Json::Int(s.cross_hits as i64)),
-                ("misses".into(), Json::Int(s.misses as i64)),
-                ("inserts".into(), Json::Int(s.inserts as i64)),
-                ("evictions".into(), Json::Int(s.evictions as i64)),
-                ("entries".into(), Json::Int(s.entries as i64)),
-                ("shards".into(), Json::Int(s.shards as i64)),
-                ("contended".into(), Json::Int(s.contended as i64)),
-                (
-                    "snapshot_entries".into(),
-                    Json::Int(s.snapshot_entries as i64),
-                ),
-                ("snapshot_hits".into(), Json::Int(s.snapshot_hits as i64)),
-                (
-                    "snapshot_rejected".into(),
-                    Json::Bool(self.snapshot_rejected),
-                ),
-                ("key_probes".into(), Json::Int(s.key_probes as i64)),
-                ("interned".into(), Json::Int(s.interned_values as i64)),
-                ("interner_hits".into(), Json::Int(s.interner_hits as i64)),
-                (
-                    "interner_verifies".into(),
-                    Json::Int(s.interner_verifies as i64),
-                ),
-                (
-                    "interner_collisions".into(),
-                    Json::Int(s.interner_collisions as i64),
-                ),
-            ]),
+            Some(s) => {
+                let mut cache = s.to_json();
+                if let Json::Object(fields) = &mut cache {
+                    fields.push((
+                        "snapshot_rejected".into(),
+                        Json::Bool(self.snapshot_rejected),
+                    ));
+                }
+                cache
+            }
         };
         Json::Object(vec![
             ("schema".into(), Json::Str("irlt-batch/v1".into())),
@@ -187,26 +146,22 @@ impl fmt::Display for BatchResult {
 }
 
 /// Opens the shared legality cache for a pool of `workers` threads and
-/// warm-starts it from the `irlt-cache/v1` snapshot at `load`, if any.
+/// warm-starts it from the `irlt-cache/v2` snapshot at `load`, if any.
 ///
-/// `shards == 0` auto-sizes to `next_power_of_two(workers * 4)`. Any
-/// failure to load — unreadable file, bad magic/version, truncation,
-/// checksum mismatch, malformed payload — leaves the cache cold and
-/// untouched and calls `on_reject(path, reason)`; the caller decides how
-/// to report it. Returns the cache and, when the snapshot loaded, what it
+/// The cache is striped over `next_power_of_two(workers * 4)` shards, so
+/// probes rarely collide on a stripe (results are bit-identical for every
+/// shard count). Any failure to load — unreadable file, bad
+/// magic/version, truncation, checksum mismatch, malformed payload —
+/// leaves the cache cold and untouched and calls `on_reject(path,
+/// reason)`; the caller decides how to report it. Returns the cache and, when the snapshot loaded, what it
 /// restored.
 pub fn open_shared_cache(
     capacity: usize,
-    shards: usize,
     workers: usize,
     load: Option<&Path>,
     on_reject: impl FnOnce(&Path, &str),
 ) -> (SharedLegalityCache, Option<SnapshotLoadStats>) {
-    let shards = if shards == 0 {
-        (workers * 4).next_power_of_two()
-    } else {
-        shards
-    };
+    let shards = (workers * 4).next_power_of_two();
     let cache = SharedLegalityCache::with_config(capacity, shards, KeyMode::default());
     let stats = load.and_then(|path| {
         std::fs::read(path)
@@ -218,10 +173,12 @@ pub fn open_shared_cache(
     (cache, stats)
 }
 
-/// Runs every job to a result, sharded across a work-stealing pool.
+/// Runs every job to a result, sharded across a work-stealing pool: job
+/// `k` starts on worker `k mod workers`, and idle workers steal to
+/// correct imbalance in job cost.
 ///
 /// Per-job results are **deterministic**: bit-identical across worker
-/// counts, submission orders, sharding policies, cache capacities, and
+/// counts, submission orders, steal interleavings, cache capacities, and
 /// telemetry on/off. Jobs with deadlines come back as
 /// [`JobStatus::TimedOut`] holding the best legal candidate found in
 /// budget; everything else in the batch is unaffected. All workers are
@@ -241,7 +198,6 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         .then(|| {
             open_shared_cache(
                 config.cache_capacity,
-                config.cache_shards,
                 workers,
                 config.cache_load.as_deref(),
                 |path, why| {
@@ -259,24 +215,16 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         .unzip();
     let snapshot = snapshot.flatten();
     let queues = WorkQueues::new(workers);
-    for (k, _) in jobs.iter().enumerate() {
-        match config.sharding {
-            Sharding::RoundRobin => queues.push(k, k),
-            Sharding::Single => queues.push(0, k),
-        }
+    for k in 0..jobs.len() {
+        queues.push(k, k);
     }
     let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::default()).collect();
-    // No worker pops until every worker exists: under Sharding::Single
-    // the thieves are guaranteed at least one look at a loaded queue.
-    let start_gate = std::sync::Barrier::new(queues.workers());
     std::thread::scope(|scope| {
         for w in 0..queues.workers() {
             let queues = &queues;
             let slots = &slots;
-            let gate = &start_gate;
             let cache = cache.clone();
             scope.spawn(move || {
-                gate.wait();
                 let opts = ExecOptions {
                     telemetry: config.telemetry.clone(),
                     cancel: None,
@@ -355,11 +303,7 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     // Persist the warmed cache for the next run. A save failure is a
     // warning, not a batch failure — the results are already computed.
     if let (Some(cache), Some(path)) = (&cache, &config.cache_save) {
-        let saved = cache
-            .save_snapshot()
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| std::fs::write(path, &bytes).map_err(|e| e.to_string()));
-        if let Err(why) = saved {
+        if let Err(why) = cache.save_snapshot_to(path, 0) {
             eprintln!(
                 "warning: cache snapshot {} not saved ({why})",
                 path.display()

@@ -13,8 +13,7 @@
 //!   --deadline-ms N    per-job wall-clock budget (default: none)
 //!   --no-shared        disable the cross-nest shared legality cache
 //!   --cache-capacity N shared-cache entries before a sweep
-//!   --cache-shards N   lock-striped cache shards (default: auto)
-//!   --cache-load PATH  warm-start from an irlt-cache/v1 snapshot
+//!   --cache-load PATH  warm-start from an irlt-cache/v2 snapshot
 //!                      (a rejected file falls back to a cold start)
 //!   --cache-save PATH  save the cache snapshot after the batch
 //!   --out PATH         write the batch JSON artifact to PATH
@@ -42,7 +41,6 @@ struct Cli {
     deadline: Option<Duration>,
     shared: bool,
     cache_capacity: Option<usize>,
-    cache_shards: usize,
     cache_load: Option<PathBuf>,
     cache_save: Option<PathBuf>,
     out: Option<PathBuf>,
@@ -51,8 +49,8 @@ struct Cli {
 fn usage() -> String {
     "usage: irlt-batch [CORPUS] [--demo N] [--goal outer|inner] [--threads N] \
      [--max-steps N] [--beam N] [--deadline-ms N] [--no-shared] \
-     [--cache-capacity N] [--cache-shards N] [--cache-load PATH] \
-     [--cache-save PATH] [--out PATH]"
+     [--cache-capacity N] [--cache-load PATH] [--cache-save PATH] \
+     [--out PATH]"
         .to_string()
 }
 
@@ -67,7 +65,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         deadline: None,
         shared: true,
         cache_capacity: None,
-        cache_shards: 0,
         cache_load: None,
         cache_save: None,
         out: None,
@@ -121,11 +118,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .map_err(|e| format!("--cache-capacity: {e}"))?,
                 );
             }
-            "--cache-shards" => {
-                cli.cache_shards = value("--cache-shards")?
-                    .parse()
-                    .map_err(|e| format!("--cache-shards: {e}"))?;
-            }
             "--cache-load" => cli.cache_load = Some(PathBuf::from(value("--cache-load")?)),
             "--cache-save" => cli.cache_save = Some(PathBuf::from(value("--cache-save")?)),
             "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
@@ -168,7 +160,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut config = BatchConfig {
         threads: cli.threads,
         shared_cache: cli.shared,
-        cache_shards: cli.cache_shards,
         cache_load: cli.cache_load.clone(),
         cache_save: cli.cache_save.clone(),
         telemetry,

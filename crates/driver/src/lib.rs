@@ -53,9 +53,7 @@ mod job;
 mod manifest;
 mod pool;
 
-pub use batch::{
-    execute_job, open_shared_cache, run_batch, BatchConfig, BatchResult, ExecOptions, Sharding,
-};
+pub use batch::{execute_job, open_shared_cache, run_batch, BatchConfig, BatchResult, ExecOptions};
 pub use corpus::demo_corpus;
 pub use job::{Job, JobResult, JobStatus};
 pub use manifest::{load_manifest, ManifestError};

@@ -312,9 +312,7 @@ fn expand(
 /// ```
 pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig) -> SearchResult {
     let tel = &config.telemetry;
-    let mut state = SeqState::root(nest, deps)
-        .with_pruning(true)
-        .with_telemetry(tel.clone());
+    let mut state = SeqState::root(nest, deps).with_telemetry(tel.clone());
     if let Some(cache) = &config.shared {
         state = state.with_shared(cache.clone(), config.owner);
     }
@@ -743,7 +741,7 @@ mod tests {
             cancel: None,
         };
         let mut frontier = vec![Node {
-            state: SeqState::root(nest, &deps).with_pruning(true),
+            state: SeqState::root(nest, &deps),
             score: 0.0,
         }];
         let (mut explored, mut legal) = (0, 0);

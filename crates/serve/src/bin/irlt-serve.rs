@@ -9,8 +9,7 @@
 //!     --default-deadline-ms N  SLO for requests that carry none
 //!     --no-shared            disable the shared legality cache
 //!     --cache-capacity N     shared-cache entries before a sweep
-//!     --cache-shards N       lock-striped cache shards (default: auto)
-//!     --cache-load PATH      warm-start from an irlt-cache/v1 snapshot
+//!     --cache-load PATH      warm-start from an irlt-cache/v2 snapshot
 //!     --snapshot PATH        rotate cache snapshots to PATH while serving
 //!     --snapshot-every N     rotate after every N finished requests (default 64)
 //!     --snapshot-keep N      rotated generations to keep (default 2)
@@ -58,7 +57,6 @@ struct Cli {
     default_deadline: Option<Duration>,
     shared: bool,
     cache_capacity: Option<usize>,
-    cache_shards: usize,
     cache_load: Option<PathBuf>,
     snapshot: Option<PathBuf>,
     snapshot_every: u64,
@@ -95,7 +93,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         default_deadline: None,
         shared: true,
         cache_capacity: None,
-        cache_shards: 0,
         cache_load: None,
         snapshot: None,
         snapshot_every: 64,
@@ -139,9 +136,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--cache-capacity" => {
                 cli.cache_capacity =
                     Some(parse_num("--cache-capacity", value("--cache-capacity")?)? as usize);
-            }
-            "--cache-shards" => {
-                cli.cache_shards = parse_num("--cache-shards", value("--cache-shards")?)? as usize;
             }
             "--cache-load" => cli.cache_load = Some(PathBuf::from(value("--cache-load")?)),
             "--snapshot" => cli.snapshot = Some(PathBuf::from(value("--snapshot")?)),
@@ -193,7 +187,6 @@ fn serve_config(cli: &Cli) -> ServeConfig {
         retry_after_ms: cli.retry_after_ms,
         default_deadline: cli.default_deadline,
         shared_cache: cli.shared,
-        cache_shards: cli.cache_shards,
         cache_load: cli.cache_load.clone(),
         snapshot: cli.snapshot.as_ref().map(|path| SnapshotPolicy {
             path: path.clone(),

@@ -71,8 +71,6 @@ pub struct ServeConfig {
     pub shared_cache: bool,
     /// Entry capacity of the shared cache.
     pub cache_capacity: usize,
-    /// Lock-striped shards (`0` auto-sizes from the worker count).
-    pub cache_shards: usize,
     /// Warm-start snapshot to load before serving (rejected files
     /// degrade to a cold start, like `irlt-batch`).
     pub cache_load: Option<PathBuf>,
@@ -92,7 +90,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             shared_cache: true,
             cache_capacity: SharedLegalityCache::DEFAULT_CAPACITY,
-            cache_shards: 0,
             cache_load: None,
             snapshot: None,
             telemetry: Telemetry::disabled(),
@@ -326,12 +323,14 @@ impl Inner {
         let cache = match &s.cache {
             None => Json::Null,
             Some(c) => {
-                let mut fields = cache_stats_fields(c);
-                fields.push((
-                    "snapshot_rejected".into(),
-                    Json::Bool(self.snapshot_rejected),
-                ));
-                Json::Object(fields)
+                let mut cache = c.to_json();
+                if let Json::Object(fields) = &mut cache {
+                    fields.push((
+                        "snapshot_rejected".into(),
+                        Json::Bool(self.snapshot_rejected),
+                    ));
+                }
+                cache
             }
         };
         Json::Object(vec![
@@ -370,27 +369,6 @@ impl Inner {
             ("cache".into(), cache),
         ])
     }
-}
-
-/// The shared-cache counter object (shared shape with `irlt-batch`).
-fn cache_stats_fields(s: &SharedCacheStats) -> Vec<(String, Json)> {
-    vec![
-        ("hits".into(), Json::Int(s.hits as i64)),
-        ("cross_hits".into(), Json::Int(s.cross_hits as i64)),
-        ("misses".into(), Json::Int(s.misses as i64)),
-        ("inserts".into(), Json::Int(s.inserts as i64)),
-        ("evictions".into(), Json::Int(s.evictions as i64)),
-        ("entries".into(), Json::Int(s.entries as i64)),
-        ("shards".into(), Json::Int(s.shards as i64)),
-        ("contended".into(), Json::Int(s.contended as i64)),
-        (
-            "snapshot_entries".into(),
-            Json::Int(s.snapshot_entries as i64),
-        ),
-        ("snapshot_hits".into(), Json::Int(s.snapshot_hits as i64)),
-        ("key_probes".into(), Json::Int(s.key_probes as i64)),
-        ("interned".into(), Json::Int(s.interned_values as i64)),
-    ]
 }
 
 /// A running server.
@@ -488,7 +466,6 @@ fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inn
         .then(|| {
             open_shared_cache(
                 cfg.cache_capacity,
-                cfg.cache_shards,
                 workers,
                 cfg.cache_load.as_deref(),
                 |path, why| {

@@ -577,3 +577,52 @@ fn backpressure_rejects_above_high_water_and_loses_no_accepted_request() {
     assert_eq!(summary.rejected_draining, 1, "{summary}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `stats` payload's `cache` object carries the same fields as the
+/// `irlt-batch` artifact's, so tooling reads both with one set of names.
+#[test]
+fn stats_cache_object_has_the_batch_artifact_fields() {
+    let keys = |cache: &Json| -> Vec<String> {
+        let mut keys: Vec<String> = cache
+            .as_object()
+            .expect("cache is an object")
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
+        keys.sort();
+        keys
+    };
+    let batch = run_batch(
+        &[],
+        &BatchConfig {
+            threads: 1,
+            ..BatchConfig::default()
+        },
+    )
+    .to_json();
+
+    let dir = scratch("stats-fields");
+    let socket = dir.join("s.sock");
+    let server = Server::spawn(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        &socket,
+    )
+    .unwrap();
+    let stats = client::stats(&socket).unwrap();
+    client::shutdown(&socket).unwrap();
+    server.join();
+
+    let served = keys(stats.get("cache").expect("stats has a cache object"));
+    assert_eq!(
+        served,
+        keys(batch.get("cache").expect("artifact has a cache object"))
+    );
+    assert!(
+        served.iter().any(|k| k == "interner_collisions"),
+        "{served:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
