@@ -1,12 +1,15 @@
 //! Soft bench regression gate for CI.
 //!
-//! Reads the one-shot output of the search, driver or locality benches
-//! (the `cargo test`-mode smoke lines printed by `irlt-harness`'s timing
-//! runner, e.g. `search/matmul/incremental  21.30 ms (one-shot)`,
-//! `driver/corpus64/t4  310 ms (one-shot)` or
-//! `locality/search/copy32  22.24 ms (one-shot)`), compares each wall
+//! Reads the one-shot output of the search, driver, locality, legality
+//! or depmap benches (the `cargo test`-mode smoke lines printed by
+//! `irlt-harness`'s timing runner, e.g.
+//! `search/matmul/incremental  21.30 ms (one-shot)`,
+//! `driver/corpus64/t4  310 ms (one-shot)`,
+//! `locality/search/copy32  22.24 ms (one-shot)` or the two-part
+//! `legality/figure7_pipeline  0.21 ms (one-shot)`), compares each wall
 //! time against the recorded baseline median for the same
-//! workload/engine, and emits a GitHub Actions `::warning::` annotation
+//! workload/engine (a two-part row reads its workload's bare `ms`
+//! entry), and emits a GitHub Actions `::warning::` annotation
 //! when a one-shot time exceeds the recorded median by more than the
 //! tolerance factor
 //! (default 3×, generous because CI runners are noisy and a one-shot is
@@ -18,10 +21,11 @@
 //! fail CI because it means the perf signal silently disappeared.
 //!
 //! CI runs one step per baseline: `search/` against `BENCH_15.json`,
-//! `locality/` against `BENCH_15_locality.json`, and `driver/` against
-//! `BENCH_17_driver.json`, which records every row the driver bench
-//! prints, so each row is checked exactly once. Rows a baseline does not
-//! record are skipped.
+//! `locality/` against `BENCH_15_locality.json`, `driver/` against
+//! `BENCH_17_driver.json`, `legality/` against `BENCH_16_legality.json`
+//! and `depmap/` against `BENCH_16_depmap.json`. Each baseline records
+//! every row its bench prints, so each row is checked exactly once. Rows
+//! a baseline does not record are skipped.
 //!
 //! ```text
 //! bench_gate <oneshot.txt> <BENCH_*.json> [tolerance]
@@ -30,13 +34,24 @@
 use irlt_obs::Json;
 use std::process::ExitCode;
 
-/// One parsed `name  time (one-shot)` line, time in milliseconds.
+/// One parsed `name  time (one-shot)` line, time in milliseconds. A
+/// two-part row (`group/workload`) has an empty `engine`.
 #[derive(Clone, Debug, PartialEq)]
 struct OneShot {
     group: String,
     workload: String,
     engine: String,
     ms: f64,
+}
+
+impl OneShot {
+    /// The row name as the bench printed it.
+    fn name(&self) -> String {
+        match self.engine.as_str() {
+            "" => format!("{}/{}", self.group, self.workload),
+            engine => format!("{}/{}/{engine}", self.group, self.workload),
+        }
+    }
 }
 
 /// Parses a duration like `713 ns`, `5.48 µs`, `21.30 ms`, `1.02 s` into
@@ -53,9 +68,9 @@ fn parse_duration_ms(num: &str, unit: &str) -> Option<f64> {
     Some(v * scale)
 }
 
-/// Extracts `search/<workload>/<engine>`, `driver/<workload>/<mode>` and
-/// `locality/<workload>/<variant>` one-shot lines from the smoke output;
-/// unrelated lines are ignored.
+/// Extracts `<group>/<workload>/<engine>` and `<group>/<workload>`
+/// one-shot lines of the `search`, `driver`, `locality`, `legality` and
+/// `depmap` groups from the smoke output; unrelated lines are ignored.
 fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
     let mut out = Vec::new();
     for line in text.lines() {
@@ -67,9 +82,17 @@ fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
             continue;
         };
         let parts: Vec<&str> = name.split('/').collect();
-        let [group @ ("search" | "driver" | "locality"), workload, engine] = parts[..] else {
-            continue;
+        let (group, workload, engine) = match parts[..] {
+            [group, workload, engine] => (group, workload, engine),
+            [group, workload] => (group, workload, ""),
+            _ => continue,
         };
+        if !matches!(
+            group,
+            "search" | "driver" | "locality" | "legality" | "depmap"
+        ) {
+            continue;
+        }
         if let Some(ms) = parse_duration_ms(num, unit) {
             out.push(OneShot {
                 group: group.to_string(),
@@ -83,7 +106,8 @@ fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
 }
 
 /// Looks up the recorded median for a workload/engine in the baseline
-/// JSON (`workloads.<w>.<engine>_ms.median`).
+/// JSON (`workloads.<w>.<engine>_ms.median`, or `workloads.<w>.ms.median`
+/// for a two-part row's empty engine).
 ///
 /// Distinguishes the two ways a lookup can come back empty:
 ///
@@ -110,7 +134,11 @@ fn baseline_median_ms(
     let Some(entry) = workloads.get(workload) else {
         return Ok(None); // workload not recorded: skip
     };
-    let Some(stats) = entry.get(&format!("{engine}_ms")) else {
+    let key = match engine {
+        "" => "ms".to_string(),
+        engine => format!("{engine}_ms"),
+    };
+    let Some(stats) = entry.get(&key) else {
         if entry.as_object().is_none() {
             return Err(format!("baseline `workloads.{workload}` is not an object"));
         }
@@ -118,13 +146,13 @@ fn baseline_median_ms(
     };
     let Some(median) = stats.get("median") else {
         return Err(format!(
-            "baseline `workloads.{workload}.{engine}_ms` has no `median`"
+            "baseline `workloads.{workload}.{key}` has no `median`"
         ));
     };
     match median.as_f64() {
         Some(v) => Ok(Some(v)),
         None => Err(format!(
-            "baseline `workloads.{workload}.{engine}_ms.median` is not a number"
+            "baseline `workloads.{workload}.{key}.median` is not a number"
         )),
     }
 }
@@ -173,16 +201,18 @@ fn check(
         if shot.ms > median * tolerance {
             if single_cpu && is_thread_scaling(&shot.engine) {
                 informational.push(format!(
-                    "{}/{}/{} one-shot {:.2} ms exceeds {tolerance}x the recorded median \
+                    "{} one-shot {:.2} ms exceeds {tolerance}x the recorded median \
                      {median:.2} ms, but this is a thread-scaling row on a 1-CPU comparison \
                      (host {host_cpus} cpu(s), baseline {recorded_cpus}) — informational only",
-                    shot.group, shot.workload, shot.engine, shot.ms
+                    shot.name(),
+                    shot.ms
                 ));
             } else {
                 breaches.push(format!(
-                    "{}/{}/{} one-shot {:.2} ms exceeds {tolerance}x the recorded median \
+                    "{} one-shot {:.2} ms exceeds {tolerance}x the recorded median \
                      {median:.2} ms (baseline)",
-                    shot.group, shot.workload, shot.engine, shot.ms
+                    shot.name(),
+                    shot.ms
                 ));
             }
         }
@@ -233,8 +263,8 @@ fn main() -> ExitCode {
     let oneshots = parse_oneshot_lines(&oneshot_text);
     if oneshots.is_empty() {
         eprintln!(
-            "bench_gate: no `search/*/*`, `driver/*/*` or `locality/*/*` one-shot lines in \
-             {oneshot_path} — did the bench output format change?"
+            "bench_gate: no `search`, `driver`, `locality`, `legality` or `depmap` one-shot \
+             lines in {oneshot_path} — did the bench output format change?"
         );
         return ExitCode::from(2);
     }
@@ -306,10 +336,14 @@ search/matmul/scratch  79.00 ms (one-shot)\n\
 search/matmul/incremental  21.30 ms (one-shot)\n\
 driver/corpus64/t4  310.0 ms (one-shot)\n\
 locality/search/copy32  22.24 ms (one-shot)\n\
+legality/figure7_pipeline  210 µs (one-shot)\n\
+depmap/template/unimodular  81.6 µs (one-shot)\n\
+depmap/a/b/c  1 ms (one-shot)\n\
 codegen/fig7  1.2 ms (one-shot)\n\
+serve/ping  316 µs (one-shot)\n\
 irlt-harness bench smoke: 9 benchmark(s) executed once, 0 filtered out\n";
         let shots = parse_oneshot_lines(text);
-        assert_eq!(shots.len(), 4);
+        assert_eq!(shots.len(), 6);
         assert_eq!(shots[0].workload, "matmul");
         assert_eq!(shots[1].engine, "incremental");
         assert!((shots[1].ms - 21.30).abs() < 1e-9);
@@ -319,6 +353,11 @@ irlt-harness bench smoke: 9 benchmark(s) executed once, 0 filtered out\n";
         assert_eq!(shots[3].group, "locality");
         assert_eq!(shots[3].workload, "search");
         assert_eq!(shots[3].engine, "copy32");
+        // A two-part row has an empty engine.
+        assert_eq!(shots[4].name(), "legality/figure7_pipeline");
+        assert_eq!(shots[4].engine, "");
+        assert!((shots[4].ms - 0.21).abs() < 1e-9);
+        assert_eq!(shots[5].name(), "depmap/template/unimodular");
     }
 
     #[test]
@@ -361,6 +400,44 @@ irlt-harness bench smoke: 9 benchmark(s) executed once, 0 filtered out\n";
         assert!(breaches.is_empty(), "{breaches:?}");
         assert_eq!(info.len(), 1, "{info:?}");
         assert!(info[0].contains("informational"), "{info:?}");
+    }
+
+    fn shot(group: &str, workload: &str, engine: &str, ms: f64) -> OneShot {
+        OneShot {
+            group: group.into(),
+            workload: workload.into(),
+            engine: engine.into(),
+            ms,
+        }
+    }
+
+    #[test]
+    fn two_part_rows_gate_against_the_bare_ms_entry() {
+        // BENCH_16_legality/depmap.json record a two-part row's median
+        // under `ms`, a three-part row's under `<engine>_ms`.
+        let baseline = Json::parse(
+            r#"{ "workloads": { "figure7_pipeline": { "ms": { "median": 0.2 } },
+                                "depth": { "4_ms": { "median": 0.07 } } } }"#,
+        )
+        .unwrap();
+        assert_eq!(baseline_median_ms(&baseline, "depth", "").unwrap(), None);
+        let shots = [
+            shot("legality", "figure7_pipeline", "", 0.9),
+            shot("legality", "depth", "4", 0.1),
+        ];
+        let (checked, breaches, _) = check(&shots, &baseline, 3.0, 2).unwrap();
+        assert_eq!(checked, 2);
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert!(
+            breaches[0].starts_with(
+                "legality/figure7_pipeline one-shot 0.90 ms exceeds 3x the recorded median 0.20 ms"
+            ),
+            "{breaches:?}"
+        );
+        // A malformed `ms` entry is as fatal as a malformed `<engine>_ms`.
+        let corrupt = Json::parse(r#"{ "workloads": { "w": { "ms": { "min": 1.0 } } } }"#).unwrap();
+        let e = baseline_median_ms(&corrupt, "w", "").unwrap_err();
+        assert!(e.contains("`workloads.w.ms` has no `median`"), "{e}");
     }
 
     #[test]

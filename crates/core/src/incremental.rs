@@ -261,19 +261,14 @@ impl SeqState {
         // precondition/codegen/mapping pipeline below. The template key is
         // computed once here and reused by the lookup and any deposit; the
         // state key was computed when this state was created. Nothing on
-        // this path renders a string.
+        // this path renders a string, and nothing here counts the probe:
+        // the cache does, and the pool publishes those counters once.
         let shared_key = match (&self.shared, self.skey) {
             (Some(cache), Some(skey)) => Some((skey, cache.template_key(&template))),
             _ => None,
         };
         if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
-            if tel.is_enabled() {
-                tel.incr("legality/key/probes");
-            }
             if let Some(outcome) = cache.lookup(skey, tkey, self.owner) {
-                if tel.is_enabled() {
-                    tel.incr("legality/shared/hits");
-                }
                 return match outcome {
                     CachedOutcome::Legal { shape, mapped, key } => Ok(SeqState {
                         seq,
@@ -294,9 +289,6 @@ impl SeqState {
                         Err(ExtendError::Illegal(reason))
                     }
                 };
-            }
-            if tel.is_enabled() {
-                tel.incr("legality/shared/misses");
             }
         }
         let deposit_illegal = |reason: &IllegalReason| {

@@ -171,7 +171,8 @@ pub struct SharedCacheStats {
     /// Entries currently resident, summed over shards.
     pub entries: u64,
     /// Map probes (`hits + misses`, tracked separately so the key-path
-    /// cost is directly observable as `legality/key/probes`).
+    /// cost is directly observable; `irlt_driver::publish_cache_telemetry`
+    /// reports it as `legality/key/probes`).
     pub key_probes: u64,
     /// Distinct values resident across the three interner pools
     /// (shapes + mapped sets + templates).

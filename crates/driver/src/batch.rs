@@ -86,19 +86,6 @@ impl BatchResult {
     /// telemetry report (`Telemetry::report().to_json()`) for the full
     /// picture.
     pub fn to_json(&self) -> Json {
-        let cache = match &self.cache {
-            None => Json::Null,
-            Some(s) => {
-                let mut cache = s.to_json();
-                if let Json::Object(fields) = &mut cache {
-                    fields.push((
-                        "snapshot_rejected".into(),
-                        Json::Bool(self.snapshot_rejected),
-                    ));
-                }
-                cache
-            }
-        };
         Json::Object(vec![
             ("schema".into(), Json::Str("irlt-batch/v1".into())),
             ("workers".into(), Json::Int(self.workers as i64)),
@@ -112,7 +99,10 @@ impl BatchResult {
                     ("timed_out".into(), Json::Int(self.timed_out() as i64)),
                 ]),
             ),
-            ("cache".into(), cache),
+            (
+                "cache".into(),
+                cache_json(self.cache.as_ref(), self.snapshot_rejected),
+            ),
             (
                 "jobs".into(),
                 Json::Array(self.jobs.iter().map(JobResult::to_json).collect()),
@@ -145,6 +135,15 @@ impl fmt::Display for BatchResult {
     }
 }
 
+/// The worker count of a pool configured with `threads`: `0` means one
+/// per available core.
+pub fn worker_count(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+}
+
 /// Opens the shared legality cache for a pool of `workers` threads and
 /// warm-starts it from the `irlt-cache/v2` snapshot at `load`, if any.
 ///
@@ -152,25 +151,83 @@ impl fmt::Display for BatchResult {
 /// probes rarely collide on a stripe (results are bit-identical for every
 /// shard count). Any failure to load — unreadable file, bad
 /// magic/version, truncation, checksum mismatch, malformed payload —
-/// leaves the cache cold and untouched and calls `on_reject(path,
-/// reason)`; the caller decides how to report it. Returns the cache and, when the snapshot loaded, what it
-/// restored.
+/// leaves the cache cold and untouched: the pool starts cold, never
+/// refuses to run, and the rejection is reported here, once, as a
+/// warning on stderr and the `driver/cache/snapshot_rejected` counter.
+/// Returns the cache, what the snapshot restored when it loaded, and
+/// whether it was rejected.
 pub fn open_shared_cache(
     capacity: usize,
     workers: usize,
     load: Option<&Path>,
-    on_reject: impl FnOnce(&Path, &str),
-) -> (SharedLegalityCache, Option<SnapshotLoadStats>) {
+    tel: &Telemetry,
+) -> (SharedLegalityCache, Option<SnapshotLoadStats>, bool) {
     let shards = (workers * 4).next_power_of_two();
     let cache = SharedLegalityCache::with_config(capacity, shards, KeyMode::default());
+    let mut rejected = false;
     let stats = load.and_then(|path| {
         std::fs::read(path)
             .map_err(|e| e.to_string())
             .and_then(|bytes| cache.load_snapshot(&bytes).map_err(|e| e.to_string()))
-            .map_err(|why| on_reject(path, &why))
+            .map_err(|why| {
+                eprintln!(
+                    "warning: cache snapshot {} rejected ({why}); starting cold",
+                    path.display()
+                );
+                tel.incr("driver/cache/snapshot_rejected");
+                rejected = true;
+            })
             .ok()
     });
-    (cache, stats)
+    (cache, stats, rejected)
+}
+
+/// Publishes a pool's shared-cache counters to `tel`: `driver/cache/*`,
+/// `legality/cache/contended`, `legality/cache/shard.N/*` and
+/// `legality/key/*`. The cache counts every probe itself, so this runs
+/// once, when the pool's report is built — `irlt-batch` after the batch,
+/// `irlt-serve` on exit.
+pub fn publish_cache_telemetry(tel: &Telemetry, cache: &SharedLegalityCache) {
+    let s = cache.stats();
+    for (name, value) in [
+        ("driver/cache/hits", s.hits),
+        ("driver/cache/cross_hits", s.cross_hits),
+        ("driver/cache/misses", s.misses),
+        ("driver/cache/inserts", s.inserts),
+        ("driver/cache/evictions", s.evictions),
+        ("driver/cache/snapshot_entries", s.snapshot_entries),
+        ("driver/cache/snapshot_hits", s.snapshot_hits),
+        ("legality/cache/contended", s.contended),
+        ("legality/key/probes", s.key_probes),
+        ("legality/key/verifies", s.interner_verifies),
+        ("legality/key/collisions", s.interner_collisions),
+        ("legality/key/interned", s.interned_values),
+        ("legality/key/interner_hits", s.interner_hits),
+    ] {
+        tel.count(name, value);
+    }
+    for (n, shard) in cache.shard_stats().iter().enumerate() {
+        tel.count(&format!("legality/cache/shard.{n}/hits"), shard.hits);
+        tel.count(&format!("legality/cache/shard.{n}/misses"), shard.misses);
+        tel.count(
+            &format!("legality/cache/shard.{n}/evictions"),
+            shard.evictions,
+        );
+    }
+}
+
+/// The `cache` object of the `irlt-batch` artifact and the `irlt-serve`
+/// `stats` payload: [`SharedCacheStats::to_json`] plus
+/// `snapshot_rejected`, or `null` when the pool shares no cache.
+pub fn cache_json(stats: Option<&SharedCacheStats>, snapshot_rejected: bool) -> Json {
+    let Some(stats) = stats else {
+        return Json::Null;
+    };
+    let mut cache = stats.to_json();
+    if let Json::Object(fields) = &mut cache {
+        fields.push(("snapshot_rejected".into(), Json::Bool(snapshot_rejected)));
+    }
+    cache
 }
 
 /// Runs every job to a result, sharded across a work-stealing pool: job
@@ -186,34 +243,19 @@ pub fn open_shared_cache(
 /// even if a job panics).
 pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     let start = Instant::now();
-    let workers = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads
-    };
+    let workers = worker_count(config.threads);
     let tel = &config.telemetry;
-    let mut snapshot_rejected = false;
-    let (cache, snapshot) = config
-        .shared_cache
-        .then(|| {
-            open_shared_cache(
-                config.cache_capacity,
-                workers,
-                config.cache_load.as_deref(),
-                |path, why| {
-                    eprintln!(
-                        "warning: cache snapshot {} rejected ({why}); starting cold",
-                        path.display()
-                    );
-                    snapshot_rejected = true;
-                    if tel.is_enabled() {
-                        tel.incr("driver/cache/snapshot_rejected");
-                    }
-                },
-            )
-        })
-        .unzip();
-    let snapshot = snapshot.flatten();
+    let (cache, snapshot, snapshot_rejected) = if config.shared_cache {
+        let (cache, snapshot, rejected) = open_shared_cache(
+            config.cache_capacity,
+            workers,
+            config.cache_load.as_deref(),
+            tel,
+        );
+        (Some(cache), snapshot, rejected)
+    } else {
+        (None, None, false)
+    };
     let queues = WorkQueues::new(workers);
     for k in 0..jobs.len() {
         queues.push(k, k);
@@ -250,55 +292,36 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
                 .expect("every queued job ran exactly once")
         })
         .collect();
-    let steals = queues.steals();
-    let cache_stats = cache.as_ref().map(SharedLegalityCache::stats);
-    let wall = start.elapsed();
+    let result = BatchResult {
+        jobs: results,
+        workers,
+        steals: queues.steals(),
+        cache: cache.as_ref().map(SharedLegalityCache::stats),
+        snapshot,
+        snapshot_rejected,
+        wall: start.elapsed(),
+    };
     if tel.is_enabled() {
-        tel.count("driver/jobs", results.len() as u64);
-        tel.count("driver/workers", workers as u64);
-        tel.count("driver/steals", steals);
-        tel.count(
-            "driver/completed",
-            results.iter().filter(|j| j.status.is_completed()).count() as u64,
-        );
-        tel.count(
-            "driver/timed_out",
-            results.iter().filter(|j| !j.status.is_completed()).count() as u64,
-        );
-        for r in &results {
+        for (name, value) in [
+            ("driver/jobs", result.jobs.len() as u64),
+            ("driver/workers", workers as u64),
+            ("driver/steals", result.steals),
+            ("driver/completed", result.completed() as u64),
+            ("driver/timed_out", result.timed_out() as u64),
+        ] {
+            tel.count(name, value);
+        }
+        for r in &result.jobs {
             // Power-of-two microsecond buckets keep the histogram compact
             // across the µs–s range.
             let us = (r.wall.as_micros() as u64).max(1);
             tel.record("driver/job_wall_us", us.next_power_of_two());
             tel.record_span("driver/job", r.wall);
         }
-        if let Some(s) = &cache_stats {
-            tel.count("driver/cache/hits", s.hits);
-            tel.count("driver/cache/cross_hits", s.cross_hits);
-            tel.count("driver/cache/misses", s.misses);
-            tel.count("driver/cache/inserts", s.inserts);
-            tel.count("driver/cache/evictions", s.evictions);
-            tel.count("legality/cache/contended", s.contended);
-            tel.count("driver/cache/snapshot_entries", s.snapshot_entries);
-            tel.count("driver/cache/snapshot_hits", s.snapshot_hits);
-            if let Some(cache) = &cache {
-                for (n, shard) in cache.shard_stats().iter().enumerate() {
-                    tel.count(&format!("legality/cache/shard.{n}/hits"), shard.hits);
-                    tel.count(&format!("legality/cache/shard.{n}/misses"), shard.misses);
-                    tel.count(
-                        &format!("legality/cache/shard.{n}/evictions"),
-                        shard.evictions,
-                    );
-                }
-            }
-            // Key-representation counters (the `legality/key/probes`
-            // counter itself is incremented per-probe by `SeqState`).
-            tel.count("legality/key/verifies", s.interner_verifies);
-            tel.count("legality/key/collisions", s.interner_collisions);
-            tel.count("legality/key/interned", s.interned_values);
-            tel.count("legality/key/interner_hits", s.interner_hits);
+        if let Some(cache) = &cache {
+            publish_cache_telemetry(tel, cache);
         }
-        tel.record_span("driver/batch", wall);
+        tel.record_span("driver/batch", result.wall);
     }
     // Persist the warmed cache for the next run. A save failure is a
     // warning, not a batch failure — the results are already computed.
@@ -310,15 +333,7 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
             );
         }
     }
-    BatchResult {
-        jobs: results,
-        workers,
-        steals,
-        cache: cache_stats,
-        snapshot,
-        snapshot_rejected,
-        wall,
-    }
+    result
 }
 
 /// Per-execution settings for running one job outside a batch — the

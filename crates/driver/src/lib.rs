@@ -53,7 +53,10 @@ mod job;
 mod manifest;
 mod pool;
 
-pub use batch::{execute_job, open_shared_cache, run_batch, BatchConfig, BatchResult, ExecOptions};
+pub use batch::{
+    cache_json, execute_job, open_shared_cache, publish_cache_telemetry, run_batch, worker_count,
+    BatchConfig, BatchResult, ExecOptions,
+};
 pub use corpus::demo_corpus;
 pub use job::{Job, JobResult, JobStatus};
 pub use manifest::{load_manifest, ManifestError};

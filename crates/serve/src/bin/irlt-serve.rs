@@ -34,7 +34,11 @@
 //!   irlt-serve --client --socket PATH --shutdown   drain with no corpus
 //! ```
 //!
-//! Telemetry (server side) honors `IRLT_TELEMETRY` like `irlt-batch`.
+//! Telemetry (server side) honors `IRLT_TELEMETRY` like `irlt-batch`:
+//! when it names a file, the server writes its telemetry report there on
+//! exit (drain, or end of the `--stdio` session) — the final `serve/*`
+//! counters, the shared-cache counters, and the per-request latency
+//! distributions.
 
 use irlt_driver::{demo_corpus, load_manifest, Job};
 use irlt_obs::Telemetry;
@@ -273,22 +277,29 @@ fn run_client(cli: &Cli) -> Result<(), String> {
 }
 
 fn run_server(cli: &Cli) -> Result<(), String> {
-    if cli.stdio {
+    let cfg = serve_config(cli);
+    let telemetry = cfg.telemetry.clone();
+    let summary = if cli.stdio {
         let stdin = std::io::stdin();
-        let summary =
-            irlt_serve::serve_stream(serve_config(cli), stdin.lock(), Box::new(std::io::stdout()));
-        eprintln!("{summary}");
-        return Ok(());
-    }
-    let socket = cli
-        .socket
-        .as_ref()
-        .ok_or_else(|| format!("server mode needs --socket (or --stdio)\n{}", usage()))?;
-    let handle = Server::spawn(serve_config(cli), socket)
-        .map_err(|e| format!("{}: {e}", socket.display()))?;
-    eprintln!("irlt-serve listening on {}", socket.display());
-    let summary = handle.join();
+        irlt_serve::serve_stream(cfg, stdin.lock(), Box::new(std::io::stdout()))
+    } else {
+        let socket = cli
+            .socket
+            .as_ref()
+            .ok_or_else(|| format!("server mode needs --socket (or --stdio)\n{}", usage()))?;
+        let handle =
+            Server::spawn(cfg, socket).map_err(|e| format!("{}: {e}", socket.display()))?;
+        eprintln!("irlt-serve listening on {}", socket.display());
+        handle.join()
+    };
     eprintln!("{summary}");
+    // stdout carries the `--stdio` protocol, so the server logs to stderr.
+    if let Some(path) = telemetry
+        .write_env_report()
+        .map_err(|e| format!("telemetry artifact: {e}"))?
+    {
+        eprintln!("wrote telemetry to {}", path.display());
+    }
     Ok(())
 }
 

@@ -32,7 +32,10 @@
 use crate::protocol::{Event, RejectReason, Request};
 use crate::queue::{Admission, Gate, Rejection, Ticket};
 use irlt_core::{SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
-use irlt_driver::{execute_job, open_shared_cache, ExecOptions, Job, JobStatus};
+use irlt_driver::{
+    cache_json, execute_job, open_shared_cache, publish_cache_telemetry, worker_count, ExecOptions,
+    Job, JobStatus,
+};
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::CancelToken;
 use std::io::{BufRead, BufReader, Write};
@@ -41,6 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// When and how the shared cache is persisted while serving.
@@ -98,7 +102,9 @@ impl Default for ServeConfig {
 }
 
 /// Everything the server counted, returned by
-/// [`ServerHandle::join`]/[`ServerHandle::kill`].
+/// [`ServerHandle::join`]/[`ServerHandle::kill`]/[`serve_stream`]. It
+/// reads the same atomics as the `stats` payload and the `serve/*`
+/// telemetry counters published on exit.
 #[derive(Clone, Debug, Default)]
 pub struct ServeSummary {
     /// Connections accepted.
@@ -121,7 +127,7 @@ pub struct ServeSummary {
     pub disconnects: u64,
     /// In-flight requests cancelled by those disconnects.
     pub cancelled_by_disconnect: u64,
-    /// Snapshot rotations performed.
+    /// Snapshot rotations performed, the final save on exit included.
     pub rotations: u64,
     /// Snapshot saves that failed (serving continued).
     pub rotation_failures: u64,
@@ -262,16 +268,18 @@ impl Sink {
     }
 }
 
-/// Shared server state.
-struct Inner {
-    cfg: ServeConfig,
-    socket: Option<PathBuf>,
-    admission: Admission,
-    cache: Option<SharedLegalityCache>,
-    tel: Telemetry,
+/// The server's atomic counters. Each event bumps exactly one; the
+/// summary, the `stats` payload and the exit-time telemetry all read
+/// them (see [`ServeSummary`] for what most of them count).
+#[derive(Default)]
+struct Counts {
+    /// Next search owner id (one per started request).
     owner: AtomicU64,
+    /// Finished requests, for the rotation cadence.
     finished: AtomicU64,
     connections: AtomicU64,
+    /// Non-empty request lines read, of every op (malformed ones too).
+    requests: AtomicU64,
     accepted: AtomicU64,
     completed: AtomicU64,
     timed_out: AtomicU64,
@@ -281,8 +289,51 @@ struct Inner {
     rejected_bad_request: AtomicU64,
     disconnects: AtomicU64,
     cancelled_by_disconnect: AtomicU64,
+    /// Shutdown ops received.
+    drains: AtomicU64,
     rotations: AtomicU64,
     rotation_failures: AtomicU64,
+    /// Bytes written by the successful snapshot saves.
+    snapshot_bytes: AtomicU64,
+}
+
+impl Counts {
+    /// Publishes every count under its `serve/*` telemetry name.
+    fn publish(&self, tel: &Telemetry) {
+        for (name, count) in [
+            ("serve/connections", &self.connections),
+            ("serve/requests", &self.requests),
+            ("serve/accepted", &self.accepted),
+            ("serve/completed", &self.completed),
+            ("serve/timed_out", &self.timed_out),
+            ("serve/failed", &self.failed),
+            ("serve/rejected/backpressure", &self.rejected_backpressure),
+            ("serve/rejected/draining", &self.rejected_draining),
+            ("serve/rejected/bad_request", &self.rejected_bad_request),
+            ("serve/disconnects", &self.disconnects),
+            (
+                "serve/cancelled_by_disconnect",
+                &self.cancelled_by_disconnect,
+            ),
+            ("serve/drains", &self.drains),
+            ("serve/snapshot/rotations", &self.rotations),
+            ("serve/snapshot/rotation_failed", &self.rotation_failures),
+            ("serve/snapshot/bytes", &self.snapshot_bytes),
+        ] {
+            tel.count(name, count.load(Ordering::Relaxed));
+        }
+    }
+}
+
+/// Shared server state.
+struct Inner {
+    cfg: ServeConfig,
+    socket: Option<PathBuf>,
+    admission: Admission,
+    cache: Option<SharedLegalityCache>,
+    tel: Telemetry,
+    workers: usize,
+    counts: Counts,
     shutdown: AtomicBool,
     killed: AtomicBool,
     rotate: Mutex<()>,
@@ -295,19 +346,20 @@ struct Inner {
 
 impl Inner {
     fn summary(&self) -> ServeSummary {
+        let c = &self.counts;
         ServeSummary {
-            connections: self.connections.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected_backpressure: self.rejected_backpressure.load(Ordering::Relaxed),
-            rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            rejected_bad_request: self.rejected_bad_request.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            cancelled_by_disconnect: self.cancelled_by_disconnect.load(Ordering::Relaxed),
-            rotations: self.rotations.load(Ordering::Relaxed),
-            rotation_failures: self.rotation_failures.load(Ordering::Relaxed),
+            connections: c.connections.load(Ordering::Relaxed),
+            accepted: c.accepted.load(Ordering::Relaxed),
+            completed: c.completed.load(Ordering::Relaxed),
+            timed_out: c.timed_out.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
+            rejected_backpressure: c.rejected_backpressure.load(Ordering::Relaxed),
+            rejected_draining: c.rejected_draining.load(Ordering::Relaxed),
+            rejected_bad_request: c.rejected_bad_request.load(Ordering::Relaxed),
+            disconnects: c.disconnects.load(Ordering::Relaxed),
+            cancelled_by_disconnect: c.cancelled_by_disconnect.load(Ordering::Relaxed),
+            rotations: c.rotations.load(Ordering::Relaxed),
+            rotation_failures: c.rotation_failures.load(Ordering::Relaxed),
             killed: self.killed.load(Ordering::Relaxed),
             cache: self.cache.as_ref().map(SharedLegalityCache::stats),
             snapshot: self.snapshot_loaded,
@@ -320,19 +372,6 @@ impl Inner {
     /// so tooling reads both).
     fn stats_json(&self) -> Json {
         let s = self.summary();
-        let cache = match &s.cache {
-            None => Json::Null,
-            Some(c) => {
-                let mut cache = c.to_json();
-                if let Json::Object(fields) = &mut cache {
-                    fields.push((
-                        "snapshot_rejected".into(),
-                        Json::Bool(self.snapshot_rejected),
-                    ));
-                }
-                cache
-            }
-        };
         Json::Object(vec![
             ("schema".into(), Json::Str(crate::protocol::SCHEMA.into())),
             (
@@ -366,8 +405,25 @@ impl Inner {
                 Json::Int(s.cancelled_by_disconnect as i64),
             ),
             ("rotations".into(), Json::Int(s.rotations as i64)),
-            ("cache".into(), cache),
+            (
+                "cache".into(),
+                cache_json(s.cache.as_ref(), s.snapshot_rejected),
+            ),
         ])
+    }
+
+    /// The one exit path of every server — socket (drained or killed)
+    /// and stdio alike, once all its threads have joined: reads the
+    /// final counters and publishes them, with the cache's, to telemetry
+    /// exactly once.
+    fn finish(&self) -> ServeSummary {
+        if self.tel.is_enabled() {
+            self.counts.publish(&self.tel);
+            if let Some(cache) = &self.cache {
+                publish_cache_telemetry(&self.tel, cache);
+            }
+        }
+        self.summary()
     }
 }
 
@@ -388,15 +444,10 @@ impl Server {
     pub fn spawn(cfg: ServeConfig, socket: &Path) -> std::io::Result<ServerHandle> {
         let _ = std::fs::remove_file(socket);
         let listener = UnixListener::bind(socket)?;
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            cfg.workers
-        };
-        let inner = Arc::new(build_inner(cfg, workers, Some(socket.to_path_buf())));
+        let inner = Arc::new(build_inner(cfg, Some(socket.to_path_buf())));
         let main = {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || run_server(&inner, &listener, workers))
+            std::thread::spawn(move || run_server(&inner, &listener))
         };
         Ok(ServerHandle {
             inner,
@@ -416,7 +467,7 @@ impl ServerHandle {
     /// the process never returns) and reports the final counters.
     pub fn join(self) -> ServeSummary {
         let _ = self.main.join();
-        self.inner.summary()
+        self.inner.finish()
     }
 
     /// Hard stop: cancels in-flight requests, rejects the unstarted
@@ -429,7 +480,10 @@ impl ServerHandle {
         let orphans = self.inner.admission.kill();
         for t in orphans {
             t.cancel.cancel();
-            self.inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .counts
+                .rejected_draining
+                .fetch_add(1, Ordering::Relaxed);
             t.sink.send(&Event::Rejected {
                 id: Some(t.id.clone()),
                 reason: RejectReason::Draining,
@@ -438,69 +492,33 @@ impl ServerHandle {
             });
             t.sink.complete(&t.id);
         }
-        // Fire every connection's outstanding in-flight requests and
-        // unblock their parked readers.
-        for (sink, stream) in self
-            .inner
-            .conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-        {
-            sink.cancel_outstanding();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
+        // The woken accept loop takes the common exit path, which fires
+        // every connection's outstanding requests and unblocks its reader.
         wake_accept(&self.path);
         let _ = self.main.join();
-        self.inner.summary()
+        self.inner.finish()
     }
 }
 
-fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inner {
+fn build_inner(cfg: ServeConfig, socket: Option<PathBuf>) -> Inner {
     let tel = cfg.telemetry.clone();
+    let workers = worker_count(cfg.workers);
     // Warm start, with irlt-batch's degradation contract: any rejected
     // snapshot means a cold start, never a refusal to serve.
-    let mut snapshot_rejected = false;
-    let (cache, snapshot_loaded) = cfg
-        .shared_cache
-        .then(|| {
-            open_shared_cache(
-                cfg.cache_capacity,
-                workers,
-                cfg.cache_load.as_deref(),
-                |path, why| {
-                    eprintln!(
-                        "warning: cache snapshot {} rejected ({why}); serving cold",
-                        path.display()
-                    );
-                    snapshot_rejected = true;
-                    if tel.is_enabled() {
-                        tel.incr("serve/snapshot/load_rejected");
-                    }
-                },
-            )
-        })
-        .unzip();
-    let snapshot_loaded = snapshot_loaded.flatten();
+    let (cache, snapshot_loaded, snapshot_rejected) = if cfg.shared_cache {
+        let (cache, loaded, rejected) =
+            open_shared_cache(cfg.cache_capacity, workers, cfg.cache_load.as_deref(), &tel);
+        (Some(cache), loaded, rejected)
+    } else {
+        (None, None, false)
+    };
     Inner {
         admission: Admission::new(cfg.queue_high_water),
         socket,
         cache,
         tel,
-        owner: AtomicU64::new(0),
-        finished: AtomicU64::new(0),
-        connections: AtomicU64::new(0),
-        accepted: AtomicU64::new(0),
-        completed: AtomicU64::new(0),
-        timed_out: AtomicU64::new(0),
-        failed: AtomicU64::new(0),
-        rejected_backpressure: AtomicU64::new(0),
-        rejected_draining: AtomicU64::new(0),
-        rejected_bad_request: AtomicU64::new(0),
-        disconnects: AtomicU64::new(0),
-        cancelled_by_disconnect: AtomicU64::new(0),
-        rotations: AtomicU64::new(0),
-        rotation_failures: AtomicU64::new(0),
+        workers,
+        counts: Counts::default(),
         shutdown: AtomicBool::new(false),
         killed: AtomicBool::new(false),
         rotate: Mutex::new(()),
@@ -517,12 +535,28 @@ fn wake_accept(path: &Path) {
     let _ = UnixStream::connect(path);
 }
 
-fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
-    let mut worker_handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let inner = Arc::clone(inner);
-        worker_handles.push(std::thread::spawn(move || worker_loop(&inner, w)));
+fn spawn_workers(inner: &Arc<Inner>) -> Vec<JoinHandle<()>> {
+    (0..inner.workers)
+        .map(|w| {
+            let inner = Arc::clone(inner);
+            std::thread::spawn(move || worker_loop(&inner, w))
+        })
+        .collect()
+}
+
+/// Joins the workers, then — unless the server was killed — persists
+/// the warmed cache one last time.
+fn stop_workers(inner: &Inner, workers: Vec<JoinHandle<()>>) {
+    for h in workers {
+        let _ = h.join();
     }
+    if !inner.killed.load(Ordering::Acquire) {
+        save_snapshot(inner, true);
+    }
+}
+
+fn run_server(inner: &Arc<Inner>, listener: &UnixListener) {
+    let workers = spawn_workers(inner);
     let mut conn_handles = Vec::new();
     loop {
         let stream = match listener.accept() {
@@ -537,10 +571,7 @@ fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
         if inner.shutdown.load(Ordering::Acquire) {
             break;
         }
-        inner.connections.fetch_add(1, Ordering::Relaxed);
-        if inner.tel.is_enabled() {
-            inner.tel.incr("serve/connections");
-        }
+        inner.counts.connections.fetch_add(1, Ordering::Relaxed);
         let (write_half, registry_half) = match (stream.try_clone(), stream.try_clone()) {
             (Ok(a), Ok(b)) => (a, b),
             _ => continue,
@@ -556,8 +587,9 @@ fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
             connection_loop(&inner, BufReader::new(stream), &sink);
         }));
     }
-    // Exit path: drain (or kill) has already closed admission. Unblock
-    // any reader still parked on an idle client, then join everything.
+    // Exit path: drain (or kill) has already closed admission. After a
+    // kill, fire every connection's outstanding requests; unblock any
+    // reader still parked on an idle client, then join everything.
     for (sink, stream) in inner.conns.lock().unwrap_or_else(|p| p.into_inner()).iter() {
         if inner.killed.load(Ordering::Acquire) {
             sink.cancel_outstanding();
@@ -567,37 +599,9 @@ fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
     for h in conn_handles {
         let _ = h.join();
     }
-    for h in worker_handles {
-        let _ = h.join();
-    }
-    // Graceful exits persist the warmed cache one last time.
-    if !inner.killed.load(Ordering::Acquire) {
-        final_snapshot(inner);
-    }
+    stop_workers(inner, workers);
     if let Some(path) = &inner.socket {
         let _ = std::fs::remove_file(path);
-    }
-}
-
-fn final_snapshot(inner: &Inner) {
-    let (Some(cache), Some(policy)) = (&inner.cache, &inner.cfg.snapshot) else {
-        return;
-    };
-    let _guard = inner.rotate.lock().unwrap_or_else(|p| p.into_inner());
-    match cache.save_snapshot_to(&policy.path, policy.keep_generations) {
-        Ok(_) => {
-            inner.rotations.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/snapshot/rotations");
-            }
-        }
-        Err(why) => {
-            inner.rotation_failures.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "warning: final snapshot {} not saved ({why})",
-                policy.path.display()
-            );
-        }
     }
 }
 
@@ -606,31 +610,41 @@ fn final_snapshot(inner: &Inner) {
 /// save never stalls a second worker, and the atomic-rename protocol
 /// in `save_snapshot_to` keeps readers tear-free throughout.
 fn maybe_rotate(inner: &Inner) {
-    let n = inner.finished.fetch_add(1, Ordering::Relaxed) + 1;
+    let n = inner.counts.finished.fetch_add(1, Ordering::Relaxed) + 1;
+    let every = inner.cfg.snapshot.as_ref().map_or(0, |p| p.every_requests);
+    if every != 0 && n.is_multiple_of(every) {
+        save_snapshot(inner, false);
+    }
+}
+
+/// Saves one snapshot generation under the rotation lock and counts it:
+/// the `final_save` on exit waits for the lock, a periodic rotation
+/// skips when another save holds it. A failure is a warning, never an
+/// outage.
+fn save_snapshot(inner: &Inner, final_save: bool) {
     let (Some(cache), Some(policy)) = (&inner.cache, &inner.cfg.snapshot) else {
         return;
     };
-    if policy.every_requests == 0 || !n.is_multiple_of(policy.every_requests) {
-        return;
-    }
-    let Ok(_guard) = inner.rotate.try_lock() else {
-        return;
+    let _guard = match inner.rotate.try_lock() {
+        Ok(guard) => guard,
+        Err(_) if final_save => inner.rotate.lock().unwrap_or_else(|p| p.into_inner()),
+        Err(_) => return,
     };
     match cache.save_snapshot_to(&policy.path, policy.keep_generations) {
         Ok(stats) => {
-            inner.rotations.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/snapshot/rotations");
-                inner.tel.count("serve/snapshot/bytes", stats.bytes);
-            }
+            inner.counts.rotations.fetch_add(1, Ordering::Relaxed);
+            inner
+                .counts
+                .snapshot_bytes
+                .fetch_add(stats.bytes, Ordering::Relaxed);
         }
         Err(why) => {
-            inner.rotation_failures.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/snapshot/rotation_failed");
-            }
+            inner
+                .counts
+                .rotation_failures
+                .fetch_add(1, Ordering::Relaxed);
             eprintln!(
-                "warning: snapshot rotation {} failed ({why}); serving continues",
+                "warning: cache snapshot {} not saved ({why})",
                 policy.path.display()
             );
         }
@@ -658,7 +672,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
             worker: worker as u64,
             queued_us: queued.as_micros() as u64,
         });
-        let owner = inner.owner.fetch_add(1, Ordering::Relaxed);
+        let owner = inner.counts.owner.fetch_add(1, Ordering::Relaxed);
         let opts = ExecOptions {
             telemetry: inner.tel.clone(),
             cancel: Some(ticket.cancel.clone()),
@@ -673,19 +687,10 @@ fn worker_loop(inner: &Inner, worker: usize) {
         match outcome {
             Ok(result) => {
                 match result.status {
-                    JobStatus::Completed => {
-                        inner.completed.fetch_add(1, Ordering::Relaxed);
-                        if inner.tel.is_enabled() {
-                            inner.tel.incr("serve/completed");
-                        }
-                    }
-                    JobStatus::TimedOut => {
-                        inner.timed_out.fetch_add(1, Ordering::Relaxed);
-                        if inner.tel.is_enabled() {
-                            inner.tel.incr("serve/timed_out");
-                        }
-                    }
+                    JobStatus::Completed => &inner.counts.completed,
+                    JobStatus::TimedOut => &inner.counts.timed_out,
                 }
+                .fetch_add(1, Ordering::Relaxed);
                 if inner.tel.is_enabled() {
                     inner.tel.record(
                         "serve/request_wall_us",
@@ -702,10 +707,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
                     .or_else(|| payload.downcast_ref::<&str>().copied())
                     .unwrap_or("opaque panic payload")
                     .to_string();
-                inner.failed.fetch_add(1, Ordering::Relaxed);
-                if inner.tel.is_enabled() {
-                    inner.tel.incr("serve/failed");
-                }
+                inner.counts.failed.fetch_add(1, Ordering::Relaxed);
                 ticket.sink.send(&Event::Failed {
                     id: ticket.id.clone(),
                     detail: format!("panic: {detail}"),
@@ -726,15 +728,13 @@ fn connection_loop(inner: &Arc<Inner>, reader: impl BufRead, sink: &Arc<Sink>) {
         if line.is_empty() {
             continue;
         }
-        if inner.tel.is_enabled() {
-            inner.tel.incr("serve/requests");
-        }
+        inner.counts.requests.fetch_add(1, Ordering::Relaxed);
         match Request::parse(line) {
             Err((id, detail)) => {
-                inner.rejected_bad_request.fetch_add(1, Ordering::Relaxed);
-                if inner.tel.is_enabled() {
-                    inner.tel.incr("serve/rejected/bad_request");
-                }
+                inner
+                    .counts
+                    .rejected_bad_request
+                    .fetch_add(1, Ordering::Relaxed);
                 sink.send(&Event::Rejected {
                     id,
                     reason: RejectReason::BadRequest,
@@ -759,16 +759,11 @@ fn connection_loop(inner: &Arc<Inner>, reader: impl BufRead, sink: &Arc<Sink>) {
     // was submitted by a client that will never read the answer.
     let cancelled = sink.cancel_outstanding();
     if cancelled > 0 {
-        inner.disconnects.fetch_add(1, Ordering::Relaxed);
+        inner.counts.disconnects.fetch_add(1, Ordering::Relaxed);
         inner
+            .counts
             .cancelled_by_disconnect
             .fetch_add(cancelled as u64, Ordering::Relaxed);
-        if inner.tel.is_enabled() {
-            inner.tel.incr("serve/disconnects");
-            inner
-                .tel
-                .count("serve/cancelled_by_disconnect", cancelled as u64);
-        }
     }
 }
 
@@ -784,10 +779,10 @@ fn handle_optimize(inner: &Arc<Inner>, sink: &Arc<Sink>, req: crate::protocol::O
     let nest = match irlt_ir::parse_nest(&req.nest) {
         Ok(nest) => nest,
         Err(e) => {
-            inner.rejected_bad_request.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/rejected/bad_request");
-            }
+            inner
+                .counts
+                .rejected_bad_request
+                .fetch_add(1, Ordering::Relaxed);
             reject(RejectReason::BadRequest, None, format!("nest: {e}"));
             return;
         }
@@ -819,10 +814,7 @@ fn handle_optimize(inner: &Arc<Inner>, sink: &Arc<Sink>, req: crate::protocol::O
     sink.register(&req.id, cancel);
     match inner.admission.offer(ticket) {
         Ok(depth) => {
-            inner.accepted.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/accepted");
-            }
+            inner.counts.accepted.fetch_add(1, Ordering::Relaxed);
             sink.send(&Event::Accepted {
                 id: req.id.clone(),
                 queue_depth: depth as u64,
@@ -831,10 +823,10 @@ fn handle_optimize(inner: &Arc<Inner>, sink: &Arc<Sink>, req: crate::protocol::O
         }
         Err(Rejection::Backpressure) => {
             sink.complete(&req.id);
-            inner.rejected_backpressure.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/rejected/backpressure");
-            }
+            inner
+                .counts
+                .rejected_backpressure
+                .fetch_add(1, Ordering::Relaxed);
             reject(
                 RejectReason::Backpressure,
                 Some(inner.cfg.retry_after_ms),
@@ -846,10 +838,10 @@ fn handle_optimize(inner: &Arc<Inner>, sink: &Arc<Sink>, req: crate::protocol::O
         }
         Err(Rejection::Draining) => {
             sink.complete(&req.id);
-            inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
-            if inner.tel.is_enabled() {
-                inner.tel.incr("serve/rejected/draining");
-            }
+            inner
+                .counts
+                .rejected_draining
+                .fetch_add(1, Ordering::Relaxed);
             reject(
                 RejectReason::Draining,
                 None,
@@ -860,9 +852,7 @@ fn handle_optimize(inner: &Arc<Inner>, sink: &Arc<Sink>, req: crate::protocol::O
 }
 
 fn handle_shutdown(inner: &Arc<Inner>, sink: &Arc<Sink>) {
-    if inner.tel.is_enabled() {
-        inner.tel.incr("serve/drains");
-    }
+    inner.counts.drains.fetch_add(1, Ordering::Relaxed);
     inner.admission.drain();
     sink.send(&Event::Draining {
         pending: inner.admission.pending() as u64,
@@ -886,26 +876,14 @@ pub fn serve_stream(
     reader: impl BufRead,
     writer: Box<dyn Write + Send>,
 ) -> ServeSummary {
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.workers
-    };
-    let inner = Arc::new(build_inner(cfg, workers, None));
-    inner.connections.fetch_add(1, Ordering::Relaxed);
-    let mut worker_handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let inner = Arc::clone(&inner);
-        worker_handles.push(std::thread::spawn(move || worker_loop(&inner, w)));
-    }
+    let inner = Arc::new(build_inner(cfg, None));
+    inner.counts.connections.fetch_add(1, Ordering::Relaxed);
+    let workers = spawn_workers(&inner);
     let sink = Arc::new(Sink::new(writer));
     connection_loop(&inner, reader, &sink);
     // EOF without a shutdown op still drains gracefully.
     inner.admission.drain();
     inner.admission.await_drained();
-    for h in worker_handles {
-        let _ = h.join();
-    }
-    final_snapshot(&inner);
-    inner.summary()
+    stop_workers(&inner, workers);
+    inner.finish()
 }

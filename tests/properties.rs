@@ -834,7 +834,7 @@ fn shard_counts_are_invisible_on_random_chains() {
 }
 
 /// PR 8 tentpole: snapshot persistence is invisible to results. A cache
-/// warmed from another cache's `irlt-cache/v1` snapshot replays random
+/// warmed from another cache's `irlt-cache/v2` snapshot replays random
 /// chains identically to a fresh uncached chain, serving them from
 /// snapshot-owned entries (`snapshot_hits`) without recomputing.
 #[test]

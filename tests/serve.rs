@@ -626,3 +626,200 @@ fn stats_cache_object_has_the_batch_artifact_fields() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `Write` half that keeps everything written, for driving the stdio
+/// transport from memory.
+#[derive(Clone, Default)]
+struct Captured(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The `--stdio` transport: one session read from memory (ping, two
+/// demo-nest optimizes, a malformed line, `stats`, `shutdown`) answers
+/// in protocol order with `irlt-batch`'s results, and publishes the
+/// final `serve/*` counters to telemetry exactly once, equal to the
+/// returned summary.
+#[test]
+fn stdio_session_answers_like_batch_and_publishes_counters_once() {
+    let jobs = demo_corpus(2);
+    let batch = run_batch(
+        &jobs,
+        &BatchConfig {
+            threads: 1,
+            ..BatchConfig::default()
+        },
+    );
+    let mut input = vec![Request::Ping.to_line()];
+    for job in &jobs {
+        let goal = match job.goal {
+            Goal::InnerParallel => GoalSpec::Inner,
+            _ => GoalSpec::Outer,
+        };
+        input.push(
+            Request::Optimize(Box::new(OptimizeRequest {
+                id: job.name.clone(),
+                nest: job.nest.to_string(),
+                goal,
+                max_steps: Some(job.max_steps),
+                beam_width: Some(job.beam_width),
+                deadline_ms: None,
+            }))
+            .to_line(),
+        );
+    }
+    input.push(r#"{"op":"optimize","#.to_string());
+    input.push(Request::Stats.to_line());
+    input.push(Request::Shutdown.to_line());
+    let input = input.join("\n") + "\n";
+
+    let tel = irlt::obs::Telemetry::enabled();
+    let out = Captured::default();
+    let summary = irlt::serve::serve_stream(
+        ServeConfig {
+            workers: 2,
+            telemetry: tel.clone(),
+            ..ServeConfig::default()
+        },
+        input.as_bytes(),
+        Box::new(out.clone()),
+    );
+    let text = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+    let events: Vec<Event> = text.lines().map(|l| Event::parse(l).unwrap()).collect();
+
+    // The connection thread answers its lines in order; the workers'
+    // `started`/`done` interleave with them, but each request's own
+    // events are ordered and `bye` comes only after every result.
+    let (a, b) = (jobs[0].name.as_str(), jobs[1].name.as_str());
+    let tag = |e: &Event| -> String {
+        match e {
+            Event::Pong => "pong".into(),
+            Event::Accepted { id, .. } => format!("accepted {id}"),
+            Event::Started { id, .. } => format!("started {id}"),
+            Event::Done { id, .. } => format!("done {id}"),
+            Event::Rejected { id: None, .. } => "rejected".into(),
+            Event::Stats(_) => "stats".into(),
+            Event::Draining { .. } => "draining".into(),
+            Event::Bye { .. } => "bye".into(),
+            other => panic!("unexpected event {other:?}"),
+        }
+    };
+    let tags: Vec<String> = events.iter().map(tag).collect();
+    let connection: Vec<&str> = tags
+        .iter()
+        .map(String::as_str)
+        .filter(|t| !t.starts_with("started") && !t.starts_with("done"))
+        .collect();
+    assert_eq!(
+        connection,
+        [
+            "pong".to_string(),
+            format!("accepted {a}"),
+            format!("accepted {b}"),
+            "rejected".into(),
+            "stats".into(),
+            "draining".into(),
+            "bye".into(),
+        ],
+        "{tags:?}"
+    );
+    let at = |t: String| tags.iter().position(|x| *x == t).expect(&t);
+    for id in [a, b] {
+        assert!(
+            at(format!("accepted {id}")) < at(format!("started {id}")),
+            "{tags:?}"
+        );
+        assert!(
+            at(format!("started {id}")) < at(format!("done {id}")),
+            "{tags:?}"
+        );
+    }
+    assert_eq!(tags.last().map(String::as_str), Some("bye"), "{tags:?}");
+
+    // Served equals batched.
+    let mut served: Vec<Fingerprint> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Done {
+                id,
+                status,
+                seq,
+                score,
+                shape,
+                explored,
+                legal,
+                ..
+            } => Some((
+                id.clone(),
+                status.clone(),
+                seq.clone(),
+                score.map(f64::to_bits),
+                shape.clone(),
+                *explored,
+                *legal,
+            )),
+            _ => None,
+        })
+        .collect();
+    served.sort();
+    let mut reference: Vec<Fingerprint> = batch.jobs.iter().map(fingerprint_batch).collect();
+    reference.sort();
+    assert_eq!(served, reference);
+
+    // The mid-session `stats` saw the two admissions and the malformed
+    // line, and reading it published nothing.
+    let stats = events
+        .iter()
+        .find_map(|e| match e {
+            Event::Stats(payload) => Some(payload),
+            _ => None,
+        })
+        .unwrap();
+    assert_eq!(stats.get("accepted").and_then(Json::as_i64), Some(2));
+    assert_eq!(
+        stats
+            .get_path(&["rejected", "bad_request"])
+            .and_then(Json::as_i64),
+        Some(1)
+    );
+
+    // The final counters, published once on exit, equal the summary.
+    assert_eq!(summary.completed, 2, "{summary}");
+    assert_eq!(summary.rejected_bad_request, 1, "{summary}");
+    let report = tel.report();
+    for (name, value) in [
+        ("serve/connections", summary.connections),
+        ("serve/accepted", summary.accepted),
+        ("serve/completed", summary.completed),
+        ("serve/timed_out", summary.timed_out),
+        ("serve/failed", summary.failed),
+        ("serve/rejected/backpressure", summary.rejected_backpressure),
+        ("serve/rejected/draining", summary.rejected_draining),
+        ("serve/rejected/bad_request", summary.rejected_bad_request),
+        ("serve/disconnects", summary.disconnects),
+        (
+            "serve/cancelled_by_disconnect",
+            summary.cancelled_by_disconnect,
+        ),
+        ("serve/snapshot/rotations", summary.rotations),
+        ("serve/snapshot/rotation_failed", summary.rotation_failures),
+        // One count per request line, one drain for the shutdown op.
+        ("serve/requests", 6),
+        ("serve/drains", 1),
+    ] {
+        assert_eq!(report.counter(name), value, "{name}: {report:?}");
+    }
+    let cache = summary.cache.expect("cache on by default");
+    assert_eq!(report.counter("driver/cache/hits"), cache.hits);
+    assert_eq!(report.counter("driver/cache/misses"), cache.misses);
+    assert!(cache.misses > 0, "{cache}");
+    assert_eq!(report.counter("legality/key/probes"), cache.key_probes);
+}
