@@ -3,7 +3,7 @@
 //! `Goal::Locality` search, whose time is almost all cache simulation.
 //! The harness measures the simulation throughput; the *miss-rate shape*
 //! (who wins, by how much) is asserted here and reported in
-//! EXPERIMENTS.md. `BENCH_15_locality.json` records the gated medians.
+//! EXPERIMENTS.md. `BENCH_19_locality.json` records the gated medians.
 
 use irlt_bench::matmul;
 use irlt_cachesim::{simulate_nest, AddressMap, CacheConfig, Order};

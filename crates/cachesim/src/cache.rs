@@ -94,8 +94,12 @@ impl fmt::Display for CacheStats {
 ///
 /// The tags live in one flat `sets × ways` array. Each set's slice is kept
 /// most-recently-used first, with a per-set fill count, so an access is a
-/// short scan plus one `copy_within` that shifts the more recent tags down
-/// by one.
+/// short scan plus a loop that shifts the more recent tags down by one.
+/// An address's line is `addr / line_bytes` and its set `line % sets`, for
+/// every geometry: shift-and-mask indexing for power-of-two geometries
+/// measured faster per access in isolation but moved no end-to-end
+/// locality figure beyond noise (`BENCH_15_locality.json`,
+/// `BENCH_19_locality.json`), so there is one indexing path.
 ///
 /// # Examples
 ///
@@ -160,7 +164,9 @@ impl Cache {
                 (false, fill.min(ways - 1))
             }
         };
-        set.copy_within(..shifted, 1);
+        for k in (1..=shifted).rev() {
+            set[k] = set[k - 1];
+        }
         set[0] = line;
         if hit {
             self.stats.hits += 1;

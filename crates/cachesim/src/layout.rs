@@ -41,13 +41,20 @@ impl ArrayDecl {
         }
         let mut addr = self.base;
         for (k, &ix) in indices.iter().enumerate() {
-            let off = ix - self.origin[k];
+            // An offset that overflows is out of bounds.
+            let off = ix.checked_sub(self.origin[k])?;
             if off < 0 || off as u64 >= self.dims[k] {
                 return None;
             }
             addr += off as u64 * self.strides[k];
         }
         Some(addr)
+    }
+
+    /// Bytes between consecutive subscripts of each dimension; its length
+    /// is the rank.
+    pub(crate) fn strides(&self) -> &[u64] {
+        &self.strides
     }
 }
 

@@ -39,6 +39,7 @@ use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Search configuration.
@@ -145,14 +146,33 @@ impl fmt::Display for SearchResult {
 /// A frontier node: a legal prefix's cached legality state and its goal
 /// score. The sequence and shape live in the state, behind the
 /// (pool-canonical) `Arc`s it already holds; a [`Candidate`] is built
-/// from a node only when it becomes the best so far.
+/// from a node only when it becomes the best so far. A locality node also
+/// carries its transformed nest, so a child's trial nest is one template
+/// applied to it rather than the whole sequence applied to the original.
 #[derive(Clone, Debug)]
 struct Node {
     state: SeqState,
     score: f64,
+    /// The sequence applied to the original nest, for locality goals only.
+    nest: Option<Arc<LoopNest>>,
 }
 
 impl Node {
+    /// The root node of a search of `nest` under `goal`. Locality scoring
+    /// must execute the real body; structural goals only need the
+    /// (body-less) root shape.
+    fn root(state: SeqState, nest: &LoopNest, goal: &Goal) -> Node {
+        let (score, nest) = match goal {
+            Goal::Locality(_) => (goal.score(nest), Some(Arc::new(nest.clone()))),
+            _ => (goal.score(state.shape()), None),
+        };
+        Node {
+            state,
+            score: score.unwrap_or(f64::NEG_INFINITY),
+            nest,
+        }
+    }
+
     fn candidate(&self) -> Candidate {
         Candidate {
             seq: self.state.seq().clone(),
@@ -200,26 +220,10 @@ fn reject_kind(reason: &IllegalReason) -> RejectKind {
     }
 }
 
-fn score_candidate(
-    seq: &TransformSeq,
-    full_shape: &LoopNest,
-    nest: &LoopNest,
-    goal: &Goal,
-    tel: &Telemetry,
-) -> Option<f64> {
-    match goal {
-        // For locality goals the trial must execute the body, so score on
-        // the real transformed nest instead.
-        Goal::Locality(_) => goal.score_observed(&seq.apply(nest).ok()?, tel),
-        _ => goal.score(full_shape),
-    }
-}
-
 /// Everything one extension evaluation needs besides the `(state, move)`
 /// pair itself — shared read-only across worker threads.
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
-    nest: &'a LoopNest,
     goal: &'a Goal,
     tel: &'a Telemetry,
     cancel: Option<&'a CancelToken>,
@@ -229,14 +233,29 @@ fn evaluate(parent: &Node, template: &Template, ctx: EvalCtx<'_>) -> Outcome {
     match parent.state.extend(template.clone()) {
         Err(ExtendError::Sequence(_)) => Outcome::Rejected,
         Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
-        Ok(child) => match score_candidate(child.seq(), child.shape(), ctx.nest, ctx.goal, ctx.tel)
-        {
-            None => Outcome::LegalUnscored,
-            Some(score) => Outcome::Legal(Node {
-                state: child,
-                score,
-            }),
-        },
+        Ok(child) => {
+            // `TransformSeq::apply` folds `apply_to` over the steps, so
+            // applying the new template to the parent's nest gives the
+            // child's nest exactly.
+            let (score, nest) = match ctx.goal {
+                Goal::Locality(_) => {
+                    let parent_nest = parent.nest.as_ref().expect("locality nodes carry a nest");
+                    match template.apply_to(parent_nest) {
+                        Ok(out) => (ctx.goal.score_observed(&out, ctx.tel), Some(Arc::new(out))),
+                        Err(_) => (None, None),
+                    }
+                }
+                _ => (ctx.goal.score(child.shape()), None),
+            };
+            match score {
+                None => Outcome::LegalUnscored,
+                Some(score) => Outcome::Legal(Node {
+                    state: child,
+                    score,
+                    nest,
+                }),
+            }
+        }
     }
 }
 
@@ -316,14 +335,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     if let Some(cache) = &config.shared {
         state = state.with_shared(cache.clone(), config.owner);
     }
-    // Locality scoring must execute the real body; structural goals only
-    // need the (body-less) root shape.
-    let score = match goal {
-        Goal::Locality(_) => goal.score(nest),
-        _ => goal.score(state.shape()),
-    }
-    .unwrap_or(f64::NEG_INFINITY);
-    let root = Node { state, score };
+    let root = Node::root(state, nest, goal);
     let threads = if config.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -369,7 +381,6 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             })
             .collect();
         let ctx = EvalCtx {
-            nest,
             goal,
             tel,
             cancel: config.cancel.as_ref(),
@@ -713,7 +724,12 @@ mod tests {
         let Ok(shape) = seq.apply(&shape0) else {
             return Verdict::LegalUnscored;
         };
-        match score_candidate(&seq, &shape, nest, goal, &Telemetry::disabled()) {
+        // Locality trials run on the whole sequence applied from scratch.
+        let score = match goal {
+            Goal::Locality(_) => seq.apply(nest).ok().and_then(|out| goal.score(&out)),
+            _ => goal.score(&shape),
+        };
+        match score {
             None => Verdict::LegalUnscored,
             Some(score) => Verdict::Legal {
                 seq: seq.to_string(),
@@ -735,15 +751,11 @@ mod tests {
         let deps = analyze_dependences(nest);
         let tel = Telemetry::disabled();
         let ctx = EvalCtx {
-            nest,
             goal,
             tel: &tel,
             cancel: None,
         };
-        let mut frontier = vec![Node {
-            state: SeqState::root(nest, &deps),
-            score: 0.0,
-        }];
+        let mut frontier = vec![Node::root(SeqState::root(nest, &deps), nest, goal)];
         let (mut explored, mut legal) = (0, 0);
         let mut seen = HashSet::new();
         for _ in 0..cfg.max_steps {
@@ -801,6 +813,54 @@ mod tests {
         }
     }
 
+    /// The locality workload's goal for `n × n` column-major `arrays`.
+    fn locality_goal(n: i64, arrays: &[&str]) -> Goal {
+        let mut map = AddressMap::new(Order::ColMajor, 8);
+        for a in arrays {
+            map.declare(*a, &[n as u64, n as u64]);
+        }
+        Goal::Locality(crate::LocalityGoal {
+            params: vec![("n".into(), n)],
+            map,
+            cache: CacheConfig {
+                size_bytes: 512,
+                line_bytes: 64,
+                associativity: 2,
+            },
+        })
+    }
+
+    #[test]
+    fn locality_children_score_as_the_whole_sequence_applied_from_scratch() {
+        // A locality node applies one template to its parent's nest; the
+        // reference applies the child's whole sequence to the original.
+        let cfg = SearchConfig {
+            catalog: MoveCatalog::locality(),
+            max_steps: 2,
+            beam_width: 4,
+            ..SearchConfig::default()
+        };
+        for (src, arrays) in [
+            (
+                "do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo",
+                &["a", "b"][..],
+            ),
+            (STENCIL, &["a"][..]),
+        ] {
+            let nest = parse_nest(src).unwrap();
+            let goal = locality_goal(12, arrays);
+            let (explored, legal) = check_every_pair_against_is_legal(&nest, &goal, &cfg);
+            let results = run_all_modes(&nest, &analyze_dependences(&nest), &goal, &cfg);
+            assert_identical(&results);
+            assert_eq!(
+                (explored, legal),
+                (results[0].explored, results[0].legal),
+                "{src}"
+            );
+            assert!(legal > 0, "{src}");
+        }
+    }
+
     #[test]
     fn counters_pinned_on_hand_countable_space() {
         // Depth-1 nest, parallelize-only catalog: exactly one move per
@@ -835,13 +895,9 @@ mod tests {
         // `explored`.
         let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let deps = analyze_dependences(&nest);
-        let root = Node {
-            state: SeqState::root(&nest, &deps),
-            score: 0.0,
-        };
+        let root = Node::root(SeqState::root(&nest, &deps), &nest, &Goal::OuterParallel);
         let tel = Telemetry::disabled();
         let ctx = EvalCtx {
-            nest: &nest,
             goal: &Goal::OuterParallel,
             tel: &tel,
             cancel: None,

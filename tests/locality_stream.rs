@@ -403,3 +403,176 @@ fn value_dependent_nests_and_errors_match_the_reference() {
     let e = check_streamed("late exec error", &late, &[("n", 8)], &map, SMALL).unwrap_err();
     assert!(matches!(e, SimError::Exec(_)), "{e}");
 }
+
+#[test]
+fn innermost_kernel_matches_the_reference() {
+    // Innermost bodies of array stores and scalar assignments over affine
+    // subscripts run as a strength-reduced kernel; each case pins one
+    // edge of it or of its fallback to the walker.
+    let params = [("n", 8)];
+    for (label, src) in [
+        (
+            "negative inner step",
+            "do i = 1, n\n do j = n, 1, -1\n  b(i, j) = a(j, i)\n enddo\nenddo",
+        ),
+        (
+            "negative symbolic step",
+            "do i = 1, n\n do j = n, 1, -s\n  b(j, i) = a(i, j)\n enddo\nenddo",
+        ),
+        (
+            "partly empty inner ranges",
+            "do i = 1, n\n do j = i, 5\n  b(i, j) = a(i, j)\n enddo\nenddo",
+        ),
+        (
+            "skewed subscripts",
+            "do i = 1, n\n do j = 1, n\n  b(i, 2*j - i) = a(2*i - j, -j) + a(i, -1*j + 2*i)\n enddo\nenddo",
+        ),
+        (
+            "two statements",
+            "do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n  a(j, i) = b(i, j) + a(j, i)\n enddo\nenddo",
+        ),
+        (
+            "triangular inner range",
+            "do j = 1, n\n do i = j, n\n  b(i, j) = a(i + j, 2*j)\n enddo\nenddo",
+        ),
+        // Scalar temporaries, as code generation emits them, are
+        // substituted into the subscripts after them.
+        (
+            "skew temporaries",
+            "do i = 1, n\n do jj = i + 1, n + i\n  j = jj - i\n  t = 2*j\n  b(i, t - j) = a(j, i)\n enddo\nenddo",
+        ),
+        (
+            "temporary read before it is assigned",
+            "do i = 1, n\n do j = 1, n\n  b(i, t) = a(i, j)\n  t = j\n enddo\nenddo",
+        ),
+        (
+            "temporary assigned from itself",
+            "do i = 1, n\n do j = 1, n\n  t = t + 1\n  b(i, t) = a(i, j)\n enddo\nenddo",
+        ),
+        (
+            "temporary that outlives the loop",
+            "do i = 1, n\n do j = 1, t\n  t = j + 1\n  b(i, j) = a(i, t)\n enddo\nenddo",
+        ),
+        (
+            "temporary shadowing the outer index",
+            "do i = 1, n\n do j = i, n\n  i = j - 1\n  b(i, j) = a(j, i)\n enddo\nenddo",
+        ),
+        (
+            "reassigned temporary",
+            "do i = 1, n\n do j = 1, n\n  t = j\n  t = n + 1 - t\n  b(i, t) = a(i, j)\n enddo\nenddo",
+        ),
+        (
+            "inner index reassigned",
+            "do i = 1, n\n do j = 1, n\n  j = i + 1\n  b(i, j) = a(j, i)\n enddo\nenddo",
+        ),
+        (
+            "inner index incremented",
+            "do i = 1, n\n do j = 1, n, 2\n  j = j + 1\n  b(i, j) = a(j, i)\n enddo\nenddo",
+        ),
+    ] {
+        let nest = parse_nest(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let params = [params[0], ("s", 3), ("t", 2)];
+        check_covered(label, &nest, &params);
+    }
+
+    let map = square_map(8, &["a", "b"]);
+    // An inner range that is empty on every entry never evaluates its
+    // subscripts, so an unbound one is no error.
+    let empty =
+        parse_nest("do i = 1, n\n do j = n + 1, n\n  b(i, q) = a(i, j)\n enddo\nenddo").unwrap();
+    let r = check_streamed("empty inner range", &empty, &params, &map, SMALL).unwrap();
+    assert_eq!(r.iterations, 0);
+    // Only the last iteration of each inner range is out of bounds: the
+    // walker runs the entry and the reference names the error.
+    let last =
+        parse_nest("do i = 1, n\n do j = 1, n + 1\n  b(i, j) = a(i, j)\n enddo\nenddo").unwrap();
+    let e =
+        check_streamed("last iteration out of bounds", &last, &params, &map, SMALL).unwrap_err();
+    assert!(
+        matches!(e, SimError::Address(ref e) if e.indices == [1, 9]),
+        "{e}"
+    );
+    let first = parse_nest("do i = 1, n\n do j = n + 1, 1, -1\n  b(i, j) = a(i, j)\n enddo\nenddo")
+        .unwrap();
+    check_streamed(
+        "first iteration out of bounds",
+        &first,
+        &params,
+        &map,
+        SMALL,
+    )
+    .unwrap_err();
+    let unbound =
+        parse_nest("do i = 1, n\n do j = 1, n\n  b(i, j + q) = a(i, j)\n enddo\nenddo").unwrap();
+    check_streamed("unbound subscript", &unbound, &params, &map, SMALL).unwrap_err();
+    // `q - q` is 0, but evaluating it still needs `q`.
+    let cancelled =
+        parse_nest("do i = 1, n\n do j = 1, n\n  b(i, j + q - q) = a(i, j)\n enddo\nenddo")
+            .unwrap();
+    check_streamed("cancelled unbound term", &cancelled, &params, &map, SMALL).unwrap_err();
+    let unused =
+        parse_nest("do i = 1, n\n do j = 1, n\n  t = q\n  b(i, j) = a(i, j)\n enddo\nenddo")
+            .unwrap();
+    check_streamed("unbound temporary", &unused, &params, &map, SMALL).unwrap_err();
+
+    // Subscripts that overflow i64 at an endpoint. `i + (MAX - 2)` is in
+    // bounds until it wraps at the last iteration; `i × 2⁶³` wraps to 0
+    // at both endpoints `i = 0` and `i = 2`, but to i64::MIN in between.
+    let (i, k) = (Expr::var("i"), Expr::var("k"));
+    let outer = || Loop::new("k", Expr::int(1), Expr::int(2));
+    let store = |sub: Expr| {
+        vec![Stmt::array(
+            "b",
+            vec![k.clone()],
+            Expr::read("a", vec![sub]),
+        )]
+    };
+    let edge_map = |origin: i64, extent: u64| {
+        let mut map = AddressMap::new(Order::ColMajor, 8);
+        map.declare("b", &[2])
+            .declare_with_origin("a", &[extent], &[origin]);
+        map
+    };
+    let wraps_last = LoopNest::new(
+        vec![outer(), Loop::new("i", Expr::int(1), Expr::int(3))],
+        store(Expr::add(i.clone(), Expr::int(i64::MAX - 2))),
+    );
+    let map = edge_map(i64::MAX - 1, 2);
+    let e = check_streamed(
+        "overflow at the last iteration",
+        &wraps_last,
+        &[],
+        &map,
+        SMALL,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(e, SimError::Address(ref e) if e.indices == [i64::MIN]),
+        "{e}"
+    );
+    let two_62 = Expr::int(1 << 62);
+    let wraps_twice = LoopNest::new(
+        vec![outer(), Loop::new("i", Expr::int(0), Expr::int(2))],
+        store(Expr::mul(Expr::mul(i.clone(), two_62), Expr::int(2))),
+    );
+    let map = edge_map(0, 1);
+    let e =
+        check_streamed("overflow at both endpoints", &wraps_twice, &[], &map, SMALL).unwrap_err();
+    assert!(
+        matches!(e, SimError::Address(ref e) if e.indices == [i64::MIN]),
+        "{e}"
+    );
+
+    // The 10 M-iteration cap counts every kernel iteration: 3334 entries
+    // of 3000 iterations cross it in the middle of the last entry. An
+    // empty body keeps the reference's trace empty.
+    let capped = LoopNest::new(
+        vec![
+            Loop::new("i", Expr::int(1), Expr::int(3334)),
+            Loop::new("j", Expr::int(1), Expr::int(3000)),
+        ],
+        Vec::new(),
+    );
+    let e = check_streamed("iteration cap", &capped, &[], &map, SMALL).unwrap_err();
+    assert!(e.to_string().contains("iteration cap"), "{e}");
+}
