@@ -1,7 +1,9 @@
 //! Batch-driver throughput: the 64-nest demo corpus through
-//! `irlt_driver::run_batch` at 1, 4, and 8 worker threads with the
-//! cross-nest [`SharedLegalityCache`] on, plus a `fresh` serial baseline
-//! with the cache off, plus a deeper-search workload.
+//! `irlt_driver::run_batch` at 1, 4, and 8 worker threads (every batch
+//! shares one cross-nest [`SharedLegalityCache`]), plus a `fresh`
+//! baseline, plus a deeper-search workload. `fresh` is no batch: it runs
+//! each job serially through `irlt_driver::execute_job` with no cache,
+//! the uncached reference the driver tests compare batches against.
 //!
 //! Four effects are measured:
 //!
@@ -35,7 +37,7 @@
 //!
 //! [`SharedLegalityCache`]: irlt_core::SharedLegalityCache
 
-use irlt_driver::{demo_corpus, run_batch, BatchConfig, Job};
+use irlt_driver::{demo_corpus, execute_job, run_batch, BatchConfig, ExecOptions, Job};
 use irlt_harness::timing::{black_box, Runner};
 use irlt_obs::Telemetry;
 
@@ -56,16 +58,18 @@ fn main() {
     let mut r = Runner::default();
     let telemetry = Telemetry::from_env();
     let jobs = demo_corpus(64);
-    let configs = [
-        ("fresh", 1, false),
-        ("t1", 1, true),
-        ("t4", 4, true),
-        ("t8", 8, true),
-    ];
-    for (name, threads, shared_cache) in configs {
+    let opts = ExecOptions {
+        telemetry: telemetry.clone(),
+        cancel: None,
+    };
+    r.bench("driver/corpus64/fresh", || {
+        for (k, job) in black_box(&jobs).iter().enumerate() {
+            black_box(execute_job(job, k as u64, 0, None, &opts));
+        }
+    });
+    for (name, threads) in [("t1", 1), ("t4", 4), ("t8", 8)] {
         let cfg = BatchConfig {
             threads,
-            shared_cache,
             telemetry: telemetry.clone(),
             ..BatchConfig::default()
         };

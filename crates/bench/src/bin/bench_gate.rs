@@ -15,6 +15,11 @@
 //! (default 3×, generous because CI runners are noisy and a one-shot is
 //! a single sample).
 //!
+//! A row printed more than once (CI runs the legality and depmap bench
+//! binaries three times into one file) is gated once, on the minimum of
+//! its repeats, so one noisy one-shot cannot annotate a breach on its
+//! own.
+//!
 //! The gate is *soft*: breaches annotate but never fail the build
 //! (exit 0). A nonzero exit means the gate itself could not run — missing
 //! files, unparseable baseline, or no bench lines found — which *should*
@@ -103,6 +108,19 @@ fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
         }
     }
     out
+}
+
+/// Collapses repeated rows to one per row name, holding the fastest of
+/// its repeats, in first-seen order.
+fn min_of_repeats(shots: Vec<OneShot>) -> Vec<OneShot> {
+    let mut rows: Vec<OneShot> = Vec::new();
+    for shot in shots {
+        match rows.iter_mut().find(|r| r.name() == shot.name()) {
+            Some(row) => row.ms = row.ms.min(shot.ms),
+            None => rows.push(shot),
+        }
+    }
+    rows
 }
 
 /// Looks up the recorded median for a workload/engine in the baseline
@@ -260,7 +278,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let oneshots = parse_oneshot_lines(&oneshot_text);
+    let lines = parse_oneshot_lines(&oneshot_text);
+    let line_count = lines.len();
+    let oneshots = min_of_repeats(lines);
     if oneshots.is_empty() {
         eprintln!(
             "bench_gate: no `search`, `driver`, `locality`, `legality` or `depmap` one-shot \
@@ -282,8 +302,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     println!(
-        "bench_gate: {checked}/{} one-shot(s) checked against {baseline_path} \
-         (tolerance {tolerance}x, host {host_cpus} cpu(s))",
+        "bench_gate: {checked}/{} row(s) checked against {baseline_path}, each the minimum \
+         of its repeats ({line_count} one-shot line(s); tolerance {tolerance}x, host \
+         {host_cpus} cpu(s))",
         oneshots.len()
     );
     for msg in &informational {
@@ -358,6 +379,34 @@ irlt-harness bench smoke: 9 benchmark(s) executed once, 0 filtered out\n";
         assert_eq!(shots[4].engine, "");
         assert!((shots[4].ms - 0.21).abs() < 1e-9);
         assert_eq!(shots[5].name(), "depmap/template/unimodular");
+    }
+
+    #[test]
+    fn repeated_rows_gate_once_on_their_minimum() {
+        let text = "\
+legality/depth/2  0.90 ms (one-shot)\n\
+legality/figure7_pipeline  0.21 ms (one-shot)\n\
+legality/depth/2  0.04 ms (one-shot)\n\
+legality/figure7_pipeline  0.30 ms (one-shot)\n\
+legality/depth/2  60 µs (one-shot)\n";
+        let rows = min_of_repeats(parse_oneshot_lines(text));
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert_eq!(rows[0].name(), "legality/depth/2");
+        assert!((rows[0].ms - 0.04).abs() < 1e-9, "{rows:?}");
+        assert_eq!(rows[1].name(), "legality/figure7_pipeline");
+        assert!((rows[1].ms - 0.21).abs() < 1e-9, "{rows:?}");
+        // The cold first sample alone would breach 3× a 0.05 ms median;
+        // the row's minimum does not, and the row is checked once.
+        let baseline = Json::parse(
+            r#"{ "workloads": { "depth": { "2_ms": { "median": 0.05 } },
+                                "figure7_pipeline": { "ms": { "median": 0.2 } } } }"#,
+        )
+        .unwrap();
+        let (checked, breaches, _) = check(&rows, &baseline, 3.0, 2).unwrap();
+        assert_eq!(checked, 2);
+        assert!(breaches.is_empty(), "{breaches:?}");
+        let (_, cold, _) = check(&parse_oneshot_lines(text)[..1], &baseline, 3.0, 2).unwrap();
+        assert_eq!(cold.len(), 1, "{cold:?}");
     }
 
     #[test]

@@ -461,6 +461,21 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_determinant_is_a_script_error() {
+        // det = MAX² overflows i64; the 3×3's Bareiss products overflow
+        // i128. Both are "not unimodular", never a panic.
+        for script in [
+            "n = 2\nunimodular m=[9223372036854775807 0; 0 9223372036854775807]\n",
+            "n = 3\nunimodular m=[9223372036854775807 1 0; 1 9223372036854775807 1; \
+             0 1 9223372036854775807]\n",
+        ] {
+            let e = TransformSeq::from_script(script).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("unimodular"), "{e}");
+        }
+    }
+
+    #[test]
     fn range_templates_use_running_size() {
         // block grows 2 → 4; the following coalesce must see n = 4.
         let script = "n = 2\nblock i=0 j=1 bsize=[4; 4]\ncoalesce i=2 j=3\n";

@@ -24,7 +24,7 @@
 //! ids are *exact* (equal ids ⟺ equal values), a hit can never conflate
 //! two distinct subproblems: verdicts and mapped sets out of the cache
 //! are bit-identical to recomputation, which the workspace's
-//! `shared_cache_matches_fresh` differential property asserts over
+//! `shared_legality_cache_matches_fresh_chains` differential property asserts over
 //! generated corpora. No string is rendered and no allocation happens on
 //! the probe path; interning happens once per *state* (not per probe),
 //! and cross-nest hits share one `Arc` per distinct shape and mapped set.

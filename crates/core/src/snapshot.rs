@@ -1705,6 +1705,96 @@ mod tests {
         assert!(fresh.is_empty());
     }
 
+    /// Recomputes the header checksum over a (mutated) payload, so the
+    /// loader gets past the FNV-1a check and actually decodes it.
+    fn resign(bytes: &mut [u8]) {
+        let sum = fnv1a64(&bytes[HEADER_LEN..]);
+        bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn resigned_matrix_with_overflowing_determinant_is_malformed() {
+        let cache = SharedLegalityCache::with_shards(1 << 12, 4);
+        warm_cache(&cache);
+        let mut bytes = cache.save_snapshot().unwrap();
+        // The interchange template's encoding: tag 0, a 2×2 matrix of
+        // cells [0 1; 1 0].
+        let mut needle = vec![0u8];
+        for v in [2u32, 2] {
+            needle.extend_from_slice(&v.to_le_bytes());
+        }
+        for v in [0i64, 1, 1, 0] {
+            needle.extend_from_slice(&v.to_le_bytes());
+        }
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("warm cache holds the interchange template");
+        // Same length, new cells [MAX 0; 0 MAX]: det = MAX² overflows i64.
+        for (k, v) in [i64::MAX, 0, 0, i64::MAX].into_iter().enumerate() {
+            let cell = at + 9 + 8 * k;
+            bytes[cell..cell + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        resign(&mut bytes);
+        let fresh = SharedLegalityCache::new();
+        assert_eq!(
+            fresh.load_snapshot(&bytes),
+            Err(SnapshotError::Malformed("invalid template parameters"))
+        );
+        assert!(fresh.is_empty());
+    }
+
+    /// Bit flips in every payload byte of a warm snapshot, re-signed so
+    /// each one reaches the decoder (a truncation or checksum sweep stops
+    /// at the header). Each mutation either loads or is rejected with a
+    /// typed error that leaves the cache empty; none may panic.
+    #[test]
+    fn resigned_bit_flips_in_every_payload_byte_never_panic() {
+        let cache = SharedLegalityCache::with_shards(1 << 12, 4);
+        warm_cache(&cache);
+        // Blocked, coalesced and interleaved children put min/max,
+        // division and call expressions into the shape pool too.
+        let (nest, deps) = stencil();
+        let root = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
+        for t in [
+            Template::block(2, 0, 1, vec![Expr::int(4), Expr::var("b")]).unwrap(),
+            Template::coalesce(2, 0, 1).unwrap(),
+            Template::interleave(2, 0, 1, vec![Expr::int(2), Expr::int(3)]).unwrap(),
+        ] {
+            let _ = root.extend(t);
+        }
+        let bytes = cache.save_snapshot().unwrap();
+        let (mut loaded, mut rejected) = (0, 0);
+        for at in HEADER_LEN..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= mask;
+                resign(&mut mutated);
+                let fresh = SharedLegalityCache::with_shards(1 << 12, 1);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fresh.load_snapshot(&mutated)
+                }));
+                match outcome {
+                    Ok(Ok(_)) => loaded += 1,
+                    Ok(Err(e)) => {
+                        assert!(!e.to_string().is_empty());
+                        assert!(
+                            fresh.is_empty(),
+                            "byte {at} mask {mask:#04x}: {e}, yet the cache was touched"
+                        );
+                        rejected += 1;
+                    }
+                    Err(_) => panic!("byte {at} mask {mask:#04x}: the loader panicked"),
+                }
+            }
+        }
+        // Both outcomes occur: the sweep reaches past the first field.
+        assert!(
+            loaded > 0 && rejected > 0,
+            "{loaded} loaded, {rejected} rejected"
+        );
+    }
+
     #[test]
     fn capacity_full_shards_skip_rather_than_evict() {
         let donor = SharedLegalityCache::with_shards(1 << 12, 1);

@@ -16,11 +16,9 @@ use std::time::{Duration, Instant};
 pub struct BatchConfig {
     /// Worker threads: `0` uses one per available core.
     pub threads: usize,
-    /// Share one [`SharedLegalityCache`] across all jobs (bit-identical
-    /// results either way; sharing only saves work).
-    pub shared_cache: bool,
-    /// Entry capacity of the shared cache before a generational sweep —
-    /// the memory-pressure degradation knob.
+    /// Entry capacity of the [`SharedLegalityCache`] every job of the
+    /// batch shares, before a generational sweep — the memory-pressure
+    /// degradation knob.
     pub cache_capacity: usize,
     /// Warm-start: load this `irlt-cache/v2` snapshot into the shared
     /// cache before the batch starts. A missing or rejected file
@@ -41,7 +39,6 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             threads: 0,
-            shared_cache: true,
             cache_capacity: SharedLegalityCache::DEFAULT_CAPACITY,
             cache_load: None,
             cache_save: None,
@@ -59,7 +56,9 @@ pub struct BatchResult {
     pub workers: usize,
     /// Successful steals across the run.
     pub steals: u64,
-    /// Shared-cache counters, when the cache was enabled.
+    /// Shared-cache counters. Always `Some`: every batch shares one
+    /// cache (the `Option` is kept for callers that read it with
+    /// `ok_or`).
     pub cache: Option<SharedCacheStats>,
     /// What the warm-start snapshot restored, when one loaded.
     pub snapshot: Option<SnapshotLoadStats>,
@@ -101,7 +100,9 @@ impl BatchResult {
             ),
             (
                 "cache".into(),
-                cache_json(self.cache.as_ref(), self.snapshot_rejected),
+                self.cache
+                    .as_ref()
+                    .map_or(Json::Null, |s| cache_json(s, self.snapshot_rejected)),
             ),
             (
                 "jobs".into(),
@@ -156,7 +157,7 @@ pub fn worker_count(threads: usize) -> usize {
 /// warning on stderr and the `driver/cache/snapshot_rejected` counter.
 /// Returns the cache, what the snapshot restored when it loaded, and
 /// whether it was rejected.
-pub fn open_shared_cache(
+pub fn open_cache(
     capacity: usize,
     workers: usize,
     load: Option<&Path>,
@@ -218,11 +219,8 @@ pub fn publish_cache_telemetry(tel: &Telemetry, cache: &SharedLegalityCache) {
 
 /// The `cache` object of the `irlt-batch` artifact and the `irlt-serve`
 /// `stats` payload: [`SharedCacheStats::to_json`] plus
-/// `snapshot_rejected`, or `null` when the pool shares no cache.
-pub fn cache_json(stats: Option<&SharedCacheStats>, snapshot_rejected: bool) -> Json {
-    let Some(stats) = stats else {
-        return Json::Null;
-    };
+/// `snapshot_rejected`.
+pub fn cache_json(stats: &SharedCacheStats, snapshot_rejected: bool) -> Json {
     let mut cache = stats.to_json();
     if let Json::Object(fields) = &mut cache {
         fields.push(("snapshot_rejected".into(), Json::Bool(snapshot_rejected)));
@@ -245,17 +243,12 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     let start = Instant::now();
     let workers = worker_count(config.threads);
     let tel = &config.telemetry;
-    let (cache, snapshot, snapshot_rejected) = if config.shared_cache {
-        let (cache, snapshot, rejected) = open_shared_cache(
-            config.cache_capacity,
-            workers,
-            config.cache_load.as_deref(),
-            tel,
-        );
-        (Some(cache), snapshot, rejected)
-    } else {
-        (None, None, false)
-    };
+    let (cache, snapshot, snapshot_rejected) = open_cache(
+        config.cache_capacity,
+        workers,
+        config.cache_load.as_deref(),
+        tel,
+    );
     let queues = WorkQueues::new(workers);
     for k in 0..jobs.len() {
         queues.push(k, k);
@@ -265,7 +258,7 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         for w in 0..queues.workers() {
             let queues = &queues;
             let slots = &slots;
-            let cache = cache.clone();
+            let cache = &cache;
             scope.spawn(move || {
                 let opts = ExecOptions {
                     telemetry: config.telemetry.clone(),
@@ -276,7 +269,7 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
                         tel.observe("driver/queue_depth", queues.remaining() as f64);
                     }
                     let job = &jobs[popped.job];
-                    let result = execute_job(job, popped.job as u64, w, cache.as_ref(), &opts);
+                    let result = execute_job(job, popped.job as u64, w, Some(cache), &opts);
                     *slots[popped.job]
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(result);
@@ -296,7 +289,7 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         jobs: results,
         workers,
         steals: queues.steals(),
-        cache: cache.as_ref().map(SharedLegalityCache::stats),
+        cache: Some(cache.stats()),
         snapshot,
         snapshot_rejected,
         wall: start.elapsed(),
@@ -318,14 +311,12 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
             tel.record("driver/job_wall_us", us.next_power_of_two());
             tel.record_span("driver/job", r.wall);
         }
-        if let Some(cache) = &cache {
-            publish_cache_telemetry(tel, cache);
-        }
+        publish_cache_telemetry(tel, &cache);
         tel.record_span("driver/batch", result.wall);
     }
     // Persist the warmed cache for the next run. A save failure is a
     // warning, not a batch failure — the results are already computed.
-    if let (Some(cache), Some(path)) = (&cache, &config.cache_save) {
+    if let Some(path) = &config.cache_save {
         if let Err(why) = cache.save_snapshot_to(path, 0) {
             eprintln!(
                 "warning: cache snapshot {} not saved ({why})",
@@ -436,22 +427,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_reports_cross_hits_on_duplicates() {
+    fn cache_reports_cross_hits_on_duplicates() {
         // demo_corpus cycles 8 distinct nest shapes: jobs 8.. re-derive
         // the subproblems jobs 0..8 deposited.
         let jobs = demo_corpus(16);
         let r = run_batch(&jobs, &serial());
-        let stats = r.cache.expect("cache on by default");
+        let stats = r.cache.expect("every batch shares a cache");
         assert!(stats.cross_hits > 0, "{stats}");
-        let off = run_batch(
-            &jobs,
-            &BatchConfig {
-                shared_cache: false,
-                ..serial()
-            },
-        );
-        assert!(off.cache.is_none());
-        for (a, b) in r.jobs.iter().zip(&off.jobs) {
+        // Replaying shared verdicts changes no result: each job matches
+        // a standalone uncached search.
+        let uncached = jobs
+            .iter()
+            .enumerate()
+            .map(|(k, job)| execute_job(job, k as u64, 0, None, &ExecOptions::default()));
+        for (a, b) in r.jobs.iter().zip(uncached) {
             assert_eq!(a.best.seq.to_string(), b.best.seq.to_string());
             assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
             assert_eq!(a.explored, b.explored);
@@ -478,7 +467,7 @@ mod tests {
         assert!(j.get_path(&["cache", "hits"]).is_some());
         assert!(j.get_path(&["cache", "key_probes"]).is_some());
         assert!(j.get_path(&["cache", "interned"]).is_some());
-        let s = r.cache.expect("cache on by default");
+        let s = r.cache.expect("every batch shares a cache");
         assert!(s.key_probes > 0, "{s}");
         assert!(s.interned_values > 0, "{s}");
         assert_eq!(s.interner_collisions, 0, "{s}");

@@ -11,13 +11,16 @@
 //!   --max-steps N      sequence length cap (default 3)
 //!   --beam N           beam width (default 8)
 //!   --deadline-ms N    per-job wall-clock budget (default: none)
-//!   --no-shared        disable the cross-nest shared legality cache
 //!   --cache-capacity N shared-cache entries before a sweep
 //!   --cache-load PATH  warm-start from an irlt-cache/v2 snapshot
 //!                      (a rejected file falls back to a cold start)
 //!   --cache-save PATH  save the cache snapshot after the batch
 //!   --out PATH         write the batch JSON artifact to PATH
 //! ```
+//!
+//! Every job shares one cross-nest legality cache. A legality verdict is
+//! a pure function of its key, so the cache only saves work: each job's
+//! result is bit-identical to searching it alone.
 //!
 //! Telemetry is enabled whenever `--out` is given or `IRLT_TELEMETRY`
 //! is set; the artifact embeds the telemetry report, and
@@ -39,7 +42,6 @@ struct Cli {
     max_steps: usize,
     beam: usize,
     deadline: Option<Duration>,
-    shared: bool,
     cache_capacity: Option<usize>,
     cache_load: Option<PathBuf>,
     cache_save: Option<PathBuf>,
@@ -48,7 +50,7 @@ struct Cli {
 
 fn usage() -> String {
     "usage: irlt-batch [CORPUS] [--demo N] [--goal outer|inner] [--threads N] \
-     [--max-steps N] [--beam N] [--deadline-ms N] [--no-shared] \
+     [--max-steps N] [--beam N] [--deadline-ms N] \
      [--cache-capacity N] [--cache-load PATH] [--cache-save PATH] \
      [--out PATH]"
         .to_string()
@@ -63,7 +65,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         max_steps: 3,
         beam: 8,
         deadline: None,
-        shared: true,
         cache_capacity: None,
         cache_load: None,
         cache_save: None,
@@ -110,7 +111,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .map_err(|e| format!("--deadline-ms: {e}"))?;
                 cli.deadline = Some(Duration::from_millis(ms));
             }
-            "--no-shared" => cli.shared = false,
             "--cache-capacity" => {
                 cli.cache_capacity = Some(
                     value("--cache-capacity")?
@@ -159,7 +159,6 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let mut config = BatchConfig {
         threads: cli.threads,
-        shared_cache: cli.shared,
         cache_load: cli.cache_load.clone(),
         cache_save: cli.cache_save.clone(),
         telemetry,

@@ -54,7 +54,7 @@ mod manifest;
 mod pool;
 
 pub use batch::{
-    cache_json, execute_job, open_shared_cache, publish_cache_telemetry, run_batch, worker_count,
+    cache_json, execute_job, open_cache, publish_cache_telemetry, run_batch, worker_count,
     BatchConfig, BatchResult, ExecOptions,
 };
 pub use corpus::demo_corpus;

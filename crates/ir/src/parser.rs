@@ -24,6 +24,11 @@
 //!
 //! The parsed program must form a *perfect* nest: statements only at the
 //! innermost level, one loop per level.
+//!
+//! Parentheses, call and subscript argument lists, unary minus and
+//! guards may nest at most 256 levels deep. Deeper input is
+//! a [`ParseError`], so hostile source cannot overflow the stack of
+//! this recursive-descent parser.
 
 use crate::expr::Expr;
 use crate::nest::{Loop, LoopKind, LoopNest};
@@ -54,6 +59,10 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The deepest nesting of parentheses, argument lists, unary minus and
+/// guards the parser accepts.
+const MAX_NESTING: usize = 256;
 
 /// Parses a perfect loop nest with the default function set.
 ///
@@ -95,6 +104,8 @@ pub struct Parser<'s> {
     functions: BTreeSet<Symbol>,
     src_len_lines: usize,
     lex_error: Option<ParseError>,
+    /// Nested constructs currently open (at most `MAX_NESTING`).
+    depth: usize,
     _src: std::marker::PhantomData<&'s str>,
 }
 
@@ -134,6 +145,7 @@ impl<'s> Parser<'s> {
                 .collect(),
             src_len_lines: src.lines().count().max(1),
             lex_error: None,
+            depth: 0,
             _src: std::marker::PhantomData,
         };
         if let Err(e) = p.lex(src) {
@@ -306,6 +318,21 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Runs `parse` one nesting level deeper, or fails once the input
+    /// nests past `MAX_NESTING`.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek_ident(&self) -> Option<&str> {
         match self.peek() {
             Some(Token {
@@ -412,7 +439,7 @@ impl<'s> Parser<'s> {
             self.expect(Tok::LParen, "`(` after `if`")?;
             let cond = self.expr()?;
             self.expect(Tok::RParen, "`)` after condition")?;
-            let then = self.statement()?;
+            let then = self.nested(Self::statement)?;
             return Ok(Stmt::guarded(cond, then));
         }
         let name = match self.next_tok() {
@@ -462,6 +489,10 @@ impl<'s> Parser<'s> {
         if let Some(e) = self.lex_error.take() {
             return Err(e);
         }
+        self.nested(Self::sum)
+    }
+
+    fn sum(&mut self) -> Result<Expr, ParseError> {
         let mut acc = self.term()?;
         loop {
             if self.eat(&Tok::Plus) {
@@ -492,7 +523,7 @@ impl<'s> Parser<'s> {
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Tok::Minus) {
-            return Ok(Expr::neg(self.factor()?));
+            return Ok(Expr::neg(self.nested(Self::factor)?));
         }
         self.primary()
     }
@@ -688,6 +719,35 @@ mod tests {
         let err = parse_expr("i @ 2").unwrap_err();
         assert_eq!((err.line, err.col), (1, 3));
         assert!(err.message.contains('@'));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        let parens = |n: usize| "(".repeat(n) + "i" + &")".repeat(n);
+        // `expr` opens one level and each parenthesis one more.
+        assert!(parse_expr(&parens(MAX_NESTING - 1)).is_ok());
+        assert!(parse_expr(&format!("{}i", "-".repeat(MAX_NESTING - 1))).is_ok());
+        // Far past the cap, on a default-sized thread stack: typed
+        // errors, never a stack overflow.
+        let errs = std::thread::spawn(move || {
+            [
+                parse_expr(&parens(MAX_NESTING)).unwrap_err(),
+                parse_expr(&parens(20_000)).unwrap_err(),
+                parse_expr(&format!("{}i", "-".repeat(20_000))).unwrap_err(),
+                parse_expr(&format!("{}1{}", "a(".repeat(20_000), ")".repeat(20_000))).unwrap_err(),
+                parse_nest(&format!("do i = 1, {}\n a(i) = 0\nenddo", parens(20_000))).unwrap_err(),
+                parse_nest(&format!(
+                    "do i = 1, n\n {}a(i) = 0\nenddo",
+                    "if (i) ".repeat(20_000)
+                ))
+                .unwrap_err(),
+            ]
+        })
+        .join()
+        .unwrap();
+        for e in errs {
+            assert!(e.message.contains("nesting deeper than 256"), "{e}");
+        }
     }
 
     #[test]

@@ -87,11 +87,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// including arrays and objects nested more than 256 levels deep
+    /// (rejected rather than recursed into, so hostile input cannot
+    /// overflow the stack).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -233,9 +237,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -280,12 +289,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -550,6 +572,33 @@ mod tests {
         ] {
             let err = Json::parse(text).unwrap_err();
             assert!(err.to_string().contains("byte"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        let nested = |n: usize, open: &str, close: &str| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH - 1, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+        // Far deeper than the cap, on a default-sized thread stack: a
+        // typed error at the first bracket past the cap, never a stack
+        // overflow.
+        let deep = std::thread::spawn(move || {
+            (
+                Json::parse(&nested(MAX_DEPTH + 1, "[", "]")).unwrap_err(),
+                Json::parse(&nested(100_000, "[", "]")).unwrap_err(),
+                Json::parse(&"{\"k\":".repeat(100_000)).unwrap_err(),
+            )
+        })
+        .join()
+        .unwrap();
+        for (err, offset) in [
+            (deep.0, MAX_DEPTH),
+            (deep.1, MAX_DEPTH),
+            (deep.2, 5 * MAX_DEPTH),
+        ] {
+            assert_eq!(err.offset, offset, "{err}");
+            assert!(err.message.contains("deeply"), "{err}");
         }
     }
 

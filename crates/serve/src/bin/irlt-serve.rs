@@ -7,7 +7,6 @@
 //!     --high-water N         admission queue slots before backpressure (default 64)
 //!     --retry-after-ms N     retry hint on backpressure rejections (default 10)
 //!     --default-deadline-ms N  SLO for requests that carry none
-//!     --no-shared            disable the shared legality cache
 //!     --cache-capacity N     shared-cache entries before a sweep
 //!     --cache-load PATH      warm-start from an irlt-cache/v2 snapshot
 //!     --snapshot PATH        rotate cache snapshots to PATH while serving
@@ -34,6 +33,10 @@
 //!   irlt-serve --client --socket PATH --shutdown   drain with no corpus
 //! ```
 //!
+//! Every request shares the server's one legality cache, as every job
+//! of an `irlt-batch` run does, so a served answer is bit-identical to
+//! the batch answer for the same nest.
+//!
 //! Telemetry (server side) honors `IRLT_TELEMETRY` like `irlt-batch`:
 //! when it names a file, the server writes its telemetry report there on
 //! exit (drain, or end of the `--stdio` session) — the final `serve/*`
@@ -59,7 +62,6 @@ struct Cli {
     high_water: usize,
     retry_after_ms: u64,
     default_deadline: Option<Duration>,
-    shared: bool,
     cache_capacity: Option<usize>,
     cache_load: Option<PathBuf>,
     snapshot: Option<PathBuf>,
@@ -95,7 +97,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         high_water: 64,
         retry_after_ms: 10,
         default_deadline: None,
-        shared: true,
         cache_capacity: None,
         cache_load: None,
         snapshot: None,
@@ -136,7 +137,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let ms = parse_num("--default-deadline-ms", value("--default-deadline-ms")?)?;
                 cli.default_deadline = Some(Duration::from_millis(ms));
             }
-            "--no-shared" => cli.shared = false,
             "--cache-capacity" => {
                 cli.cache_capacity =
                     Some(parse_num("--cache-capacity", value("--cache-capacity")?)? as usize);
@@ -190,7 +190,6 @@ fn serve_config(cli: &Cli) -> ServeConfig {
         queue_high_water: cli.high_water,
         retry_after_ms: cli.retry_after_ms,
         default_deadline: cli.default_deadline,
-        shared_cache: cli.shared,
         cache_load: cli.cache_load.clone(),
         snapshot: cli.snapshot.as_ref().map(|path| SnapshotPolicy {
             path: path.clone(),

@@ -33,8 +33,8 @@ use crate::protocol::{Event, RejectReason, Request};
 use crate::queue::{Admission, Gate, Rejection, Ticket};
 use irlt_core::{SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
 use irlt_driver::{
-    cache_json, execute_job, open_shared_cache, publish_cache_telemetry, worker_count, ExecOptions,
-    Job, JobStatus,
+    cache_json, execute_job, open_cache, publish_cache_telemetry, worker_count, ExecOptions, Job,
+    JobStatus,
 };
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::CancelToken;
@@ -71,9 +71,7 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Share one legality cache across all requests.
-    pub shared_cache: bool,
-    /// Entry capacity of the shared cache.
+    /// Entry capacity of the legality cache all requests share.
     pub cache_capacity: usize,
     /// Warm-start snapshot to load before serving (rejected files
     /// degrade to a cold start, like `irlt-batch`).
@@ -92,7 +90,6 @@ impl Default for ServeConfig {
             queue_high_water: 64,
             retry_after_ms: 10,
             default_deadline: None,
-            shared_cache: true,
             cache_capacity: SharedLegalityCache::DEFAULT_CAPACITY,
             cache_load: None,
             snapshot: None,
@@ -133,7 +130,9 @@ pub struct ServeSummary {
     pub rotation_failures: u64,
     /// Whether the server ended by kill rather than drain.
     pub killed: bool,
-    /// Final shared-cache counters, when the cache was enabled.
+    /// Final shared-cache counters. Always `Some`: every server shares
+    /// one cache (the `Option` is kept for callers that read it with
+    /// `ok_or`).
     pub cache: Option<SharedCacheStats>,
     /// What the warm-start snapshot restored, when one loaded.
     pub snapshot: Option<SnapshotLoadStats>,
@@ -330,7 +329,7 @@ struct Inner {
     cfg: ServeConfig,
     socket: Option<PathBuf>,
     admission: Admission,
-    cache: Option<SharedLegalityCache>,
+    cache: SharedLegalityCache,
     tel: Telemetry,
     workers: usize,
     counts: Counts,
@@ -361,7 +360,7 @@ impl Inner {
             rotations: c.rotations.load(Ordering::Relaxed),
             rotation_failures: c.rotation_failures.load(Ordering::Relaxed),
             killed: self.killed.load(Ordering::Relaxed),
-            cache: self.cache.as_ref().map(SharedLegalityCache::stats),
+            cache: Some(self.cache.stats()),
             snapshot: self.snapshot_loaded,
             snapshot_rejected: self.snapshot_rejected,
         }
@@ -407,7 +406,7 @@ impl Inner {
             ("rotations".into(), Json::Int(s.rotations as i64)),
             (
                 "cache".into(),
-                cache_json(s.cache.as_ref(), s.snapshot_rejected),
+                cache_json(&self.cache.stats(), s.snapshot_rejected),
             ),
         ])
     }
@@ -419,9 +418,7 @@ impl Inner {
     fn finish(&self) -> ServeSummary {
         if self.tel.is_enabled() {
             self.counts.publish(&self.tel);
-            if let Some(cache) = &self.cache {
-                publish_cache_telemetry(&self.tel, cache);
-            }
+            publish_cache_telemetry(&self.tel, &self.cache);
         }
         self.summary()
     }
@@ -505,13 +502,8 @@ fn build_inner(cfg: ServeConfig, socket: Option<PathBuf>) -> Inner {
     let workers = worker_count(cfg.workers);
     // Warm start, with irlt-batch's degradation contract: any rejected
     // snapshot means a cold start, never a refusal to serve.
-    let (cache, snapshot_loaded, snapshot_rejected) = if cfg.shared_cache {
-        let (cache, loaded, rejected) =
-            open_shared_cache(cfg.cache_capacity, workers, cfg.cache_load.as_deref(), &tel);
-        (Some(cache), loaded, rejected)
-    } else {
-        (None, None, false)
-    };
+    let (cache, snapshot_loaded, snapshot_rejected) =
+        open_cache(cfg.cache_capacity, workers, cfg.cache_load.as_deref(), &tel);
     Inner {
         admission: Admission::new(cfg.queue_high_water),
         socket,
@@ -622,7 +614,7 @@ fn maybe_rotate(inner: &Inner) {
 /// skips when another save holds it. A failure is a warning, never an
 /// outage.
 fn save_snapshot(inner: &Inner, final_save: bool) {
-    let (Some(cache), Some(policy)) = (&inner.cache, &inner.cfg.snapshot) else {
+    let Some(policy) = &inner.cfg.snapshot else {
         return;
     };
     let _guard = match inner.rotate.try_lock() {
@@ -630,7 +622,10 @@ fn save_snapshot(inner: &Inner, final_save: bool) {
         Err(_) if final_save => inner.rotate.lock().unwrap_or_else(|p| p.into_inner()),
         Err(_) => return,
     };
-    match cache.save_snapshot_to(&policy.path, policy.keep_generations) {
+    match inner
+        .cache
+        .save_snapshot_to(&policy.path, policy.keep_generations)
+    {
         Ok(stats) => {
             inner.counts.rotations.fetch_add(1, Ordering::Relaxed);
             inner
@@ -678,7 +673,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
             cancel: Some(ticket.cancel.clone()),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_job(&ticket.job, owner, worker, inner.cache.as_ref(), &opts)
+            execute_job(&ticket.job, owner, worker, Some(&inner.cache), &opts)
         }));
         // Deregister before the terminal event goes out: a client that
         // hangs up the instant it reads its result must not race into

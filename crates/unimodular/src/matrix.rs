@@ -200,14 +200,16 @@ impl IntMatrix {
         out
     }
 
-    /// Exact determinant by fraction-free (Bareiss) elimination.
+    /// Exact determinant by fraction-free (Bareiss) elimination, with
+    /// every intermediate step checked in `i128`: `None` if one
+    /// overflows or the determinant does not fit `i64`. Matrices from
+    /// untrusted input (scripts, snapshots) go through this, so large
+    /// entries are answered, never a panic or a silently wrapped value.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not square, or on intermediate overflow of
-    /// `i128` (not reachable for the small matrices loop transformation
-    /// uses).
-    pub fn det(&self) -> i64 {
+    /// Panics if the matrix is not square.
+    pub fn checked_det(&self) -> Option<i64> {
         assert!(self.is_square(), "determinant of a non-square matrix");
         let n = self.rows;
         let mut a: Vec<i128> = self.data.iter().map(|&x| x as i128).collect();
@@ -224,25 +226,26 @@ impl IntMatrix {
                         }
                         sign = -sign;
                     }
-                    None => return 0,
+                    None => return Some(0),
                 }
             }
             for i in k + 1..n {
                 for j in k + 1..n {
-                    let num = a[idx(i, j)] * a[idx(k, k)] - a[idx(i, k)] * a[idx(k, j)];
-                    a[idx(i, j)] = num / prev;
+                    let lhs = a[idx(i, j)].checked_mul(a[idx(k, k)])?;
+                    let rhs = a[idx(i, k)].checked_mul(a[idx(k, j)])?;
+                    a[idx(i, j)] = lhs.checked_sub(rhs)?.checked_div(prev)?;
                 }
                 a[idx(i, k)] = 0;
             }
             prev = a[idx(k, k)];
         }
-        let d = sign * a[idx(n - 1, n - 1)];
-        i64::try_from(d).expect("determinant overflows i64")
+        i64::try_from(a[idx(n - 1, n - 1)].checked_mul(sign)?).ok()
     }
 
-    /// True if square, integral (by construction), and `det = ±1`.
+    /// True if square, integral (by construction), and `det = ±1`. A
+    /// matrix whose determinant overflows is not unimodular.
     pub fn is_unimodular(&self) -> bool {
-        self.is_square() && matches!(self.det(), 1 | -1)
+        self.is_square() && matches!(self.checked_det(), Some(1 | -1))
     }
 
     /// True if this is a *signed permutation* matrix: square, with
@@ -501,18 +504,42 @@ mod tests {
 
     #[test]
     fn determinants() {
-        assert_eq!(IntMatrix::identity(4).det(), 1);
-        assert_eq!(IntMatrix::from_rows(&[&[2, 0], &[0, 3]]).det(), 6);
-        assert_eq!(IntMatrix::from_rows(&[&[0, 1], &[1, 0]]).det(), -1);
-        assert_eq!(IntMatrix::from_rows(&[&[1, 2], &[2, 4]]).det(), 0);
+        assert_eq!(IntMatrix::identity(4).checked_det(), Some(1));
+        for (rows, det) in [
+            ([[2, 0], [0, 3]], 6),
+            ([[0, 1], [1, 0]], -1),
+            ([[1, 2], [2, 4]], 0),
+        ] {
+            let m = IntMatrix::from_rows(&[&rows[0], &rows[1]]);
+            assert_eq!(m.checked_det(), Some(det), "{m}");
+        }
         // Needs a pivot swap.
         assert_eq!(
-            IntMatrix::from_rows(&[&[0, 1, 0], &[1, 0, 0], &[0, 0, 1]]).det(),
-            -1
+            IntMatrix::from_rows(&[&[0, 1, 0], &[1, 0, 0], &[0, 0, 1]]).checked_det(),
+            Some(-1)
         );
         // A 4x4 with known determinant (block triangular).
         let m = IntMatrix::from_rows(&[&[1, 7, 0, 0], &[0, 1, 0, 0], &[3, 3, 2, 1], &[5, 1, 1, 1]]);
-        assert_eq!(m.det(), 1);
+        assert_eq!(m.checked_det(), Some(1));
+    }
+
+    #[test]
+    fn determinant_overflow_is_reported_not_panicked() {
+        let max = i64::MAX;
+        // The determinant itself does not fit i64.
+        let diag = IntMatrix::from_rows(&[&[max, 0], &[0, max]]);
+        assert_eq!(diag.checked_det(), None);
+        assert!(!diag.is_unimodular());
+        // An intermediate Bareiss product overflows i128.
+        let tri = IntMatrix::from_rows(&[&[max, 1, 0], &[1, max, 1], &[0, 1, max]]);
+        assert_eq!(tri.checked_det(), None);
+        assert!(!tri.is_unimodular());
+        // Large entries alone are fine when the arithmetic fits.
+        let skew = IntMatrix::from_rows(&[&[1, max], &[0, 1]]);
+        assert_eq!(skew.checked_det(), Some(1));
+        assert!(skew.is_unimodular());
+        let min = IntMatrix::from_rows(&[&[i64::MIN]]);
+        assert_eq!(min.checked_det(), Some(i64::MIN));
     }
 
     #[test]
@@ -588,7 +615,7 @@ mod tests {
         let m = IntMatrix::interchange(3, 0, 1)
             .mul(&IntMatrix::reversal(3, 2))
             .mul(&IntMatrix::skew(3, 1, 2, -4));
-        assert_eq!(m.det().abs(), 1);
+        assert!(matches!(m.checked_det(), Some(1 | -1)));
         assert!(m.is_unimodular());
     }
 }

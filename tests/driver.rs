@@ -7,7 +7,7 @@
 //! telemetry. These tests pin that bit-for-bit, plus the deadline and
 //! degradation behaviors.
 
-use irlt::driver::{demo_corpus, run_batch, BatchConfig, Job, JobResult};
+use irlt::driver::{demo_corpus, execute_job, run_batch, BatchConfig, ExecOptions, Job, JobResult};
 use irlt::prelude::*;
 use irlt_harness::rng::Rng;
 use std::time::Duration;
@@ -34,6 +34,18 @@ fn sorted_fingerprints(
     let mut f: Vec<_> = results.iter().map(fingerprint).collect();
     f.sort();
     f
+}
+
+/// The uncached reference: each job searched serially on its own, with
+/// no legality cache. Every batch shares one cache, and must reproduce
+/// these results bit for bit.
+fn uncached_reference(jobs: &[Job]) -> Vec<(String, String, String, u64, String, usize, usize)> {
+    let results: Vec<JobResult> = jobs
+        .iter()
+        .enumerate()
+        .map(|(k, job)| execute_job(job, k as u64, 0, None, &ExecOptions::default()))
+        .collect();
+    sorted_fingerprints(&results)
 }
 
 fn config(threads: usize) -> BatchConfig {
@@ -174,15 +186,21 @@ fn telemetry_observes_the_pool_and_never_perturbs_results() {
     );
 }
 
-/// Graceful degradation: a shared cache under severe capacity pressure
-/// (generational eviction) and no cache at all both yield results
-/// bit-identical to the default, and the pressured run actually evicted.
+/// Graceful degradation: a shared cache at its default capacity and one
+/// under severe capacity pressure (generational eviction) both yield
+/// results bit-identical to the uncached reference, and the pressured
+/// run actually evicted.
 #[test]
 fn cache_pressure_and_cache_off_degrade_gracefully() {
     let jobs = demo_corpus(32);
+    let reference = uncached_reference(&jobs);
     let default_run = run_batch(&jobs, &config(2));
-    let reference = sorted_fingerprints(&default_run.jobs);
     assert!(default_run.cache.unwrap().cross_hits > 0);
+    assert_eq!(
+        sorted_fingerprints(&default_run.jobs),
+        reference,
+        "the shared cache changed results"
+    );
 
     let pressured = run_batch(
         &jobs,
@@ -201,21 +219,6 @@ fn cache_pressure_and_cache_off_degrade_gracefully() {
         sorted_fingerprints(&pressured.jobs),
         reference,
         "eviction pressure changed results"
-    );
-
-    let uncached = run_batch(
-        &jobs,
-        &BatchConfig {
-            threads: 2,
-            shared_cache: false,
-            ..BatchConfig::default()
-        },
-    );
-    assert!(uncached.cache.is_none());
-    assert_eq!(
-        sorted_fingerprints(&uncached.jobs),
-        reference,
-        "disabling the shared cache changed results"
     );
 }
 
@@ -257,21 +260,14 @@ fn batch_artifact_round_trips() {
 
 /// PR 8 tentpole: lock-striping the shared cache is invisible to batch
 /// results — bit-identical per-job results across worker counts (1, 2,
-/// 4, which stripe the cache over 4, 8 and 16 shards), shuffled
-/// submission orders, and the cache-off run. The 1-shard case is covered
-/// by the `shard_counts_are_invisible_on_random_chains` property.
+/// 4, which stripe the cache over 4, 8 and 16 shards) and shuffled
+/// submission orders, all equal to the uncached serial reference. The
+/// 1-shard case is covered by the
+/// `shard_counts_are_invisible_on_random_chains` property.
 #[test]
 fn sharded_batches_match_single_shard_across_threads_and_orders() {
     let jobs = demo_corpus(32);
-    let off = run_batch(
-        &jobs,
-        &BatchConfig {
-            threads: 1,
-            shared_cache: false,
-            ..BatchConfig::default()
-        },
-    );
-    let reference = sorted_fingerprints(&off.jobs);
+    let reference = uncached_reference(&jobs);
 
     for threads in [1, 2, 4] {
         let r = run_batch(&jobs, &config(threads));

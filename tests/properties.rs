@@ -395,11 +395,11 @@ fn incremental_matches_scratch() {
 /// verdict, the *identical* mapped `DepSet`, and byte-identical
 /// rejection messages.
 #[test]
-fn shared_cache_matches_fresh_chains() {
+fn shared_legality_cache_matches_fresh_chains() {
     let shared = SharedLegalityCache::new();
     let owner = std::cell::Cell::new(0u64);
     check(
-        "shared_cache_matches_fresh_chains",
+        "shared_legality_cache_matches_fresh_chains",
         &corpus_cfg(200),
         |rng| {
             let depth = rng.gen_range(1..=3usize);

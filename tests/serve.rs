@@ -290,6 +290,54 @@ fn poisoned_payloads_get_typed_rejections_and_the_session_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Contract clause 4a, hostile nesting: both parsers a request line
+/// reaches (JSON framing, then the nest source) cap their recursion, so
+/// a ~4 KB line of nested parentheses and a line of 20,000 nested JSON
+/// arrays each get a typed `bad_request` rather than overflowing a
+/// connection thread's stack and aborting the server.
+#[test]
+fn deeply_nested_lines_are_rejected_and_the_server_survives() {
+    let dir = scratch("deep");
+    let socket = dir.join("s.sock");
+    let server = Server::spawn(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        &socket,
+    )
+    .unwrap();
+    let mut conn = Raw::open(&socket);
+    let parens = 2_000;
+    let deep_nest = format!(
+        "do i = 1, {}n{}\n a(i) = 0\nenddo",
+        "(".repeat(parens),
+        ")".repeat(parens)
+    );
+    conn.send(&optimize("deep-nest", &deep_nest, 2, 4));
+    conn.send_line(&("[".repeat(20_000) + &"]".repeat(20_000)));
+    for want_id in [Some("deep-nest"), None] {
+        match conn.recv() {
+            Event::Rejected {
+                id, reason, detail, ..
+            } => {
+                assert_eq!(reason, RejectReason::BadRequest, "{detail}");
+                assert_eq!(id.as_deref(), want_id, "{detail}");
+                assert!(detail.contains("deep"), "{detail}");
+            }
+            other => panic!("expected bad_request rejection, got {other:?}"),
+        }
+    }
+    conn.send(&Request::Ping);
+    assert_eq!(conn.recv(), Event::Pong);
+
+    drop(conn);
+    client::shutdown(&socket).unwrap();
+    let summary = server.join();
+    assert_eq!(summary.rejected_bad_request, 2, "{summary}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Contract clause 4b: a client that hangs up mid-request has its
 /// outstanding work cancelled (the worker does not finish a search
 /// nobody will read), and the server keeps serving other clients.
