@@ -1,14 +1,17 @@
 //! Legality-test scaling: the paper's "single legality test for all
 //! iteration-reordering loop transformations", measured against nest depth
-//! and dependence-set size.
+//! and dependence-set size, and the incremental engine's cost per
+//! candidate move.
 //!
 //! Rows regenerated: the cost model behind §5's claim that keeping the
 //! loop nest unchanged while testing many candidate transformations is
 //! cheap ("supporting arbitrary levels of search and undo").
 
 use irlt_bench::{figure7_sequence, matmul, random_deps, rectangular, unimodular_chain};
+use irlt_core::SeqState;
 use irlt_dependence::analyze_dependences;
 use irlt_harness::timing::{black_box, Runner};
+use irlt_opt::MoveCatalog;
 
 fn legality_vs_depth(r: &mut Runner) {
     for depth in [2usize, 3, 4, 5, 6] {
@@ -41,6 +44,27 @@ fn legality_figure7(r: &mut Runner) {
     });
 }
 
+/// One search step's legality work: a cold root `SeqState` (no shared
+/// cache) extended by every move the default catalog offers at its
+/// depth. Most of those candidates are rejected, so this is the miss
+/// path the search pays on every fresh shape.
+fn extend_root_moves(r: &mut Runner) {
+    let catalog = MoveCatalog::default();
+    for depth in [2usize, 3, 4] {
+        let nest = rectangular(depth);
+        let deps = random_deps(depth, 8, 42);
+        let moves = catalog.moves(depth);
+        r.bench(&format!("legality/extend/{depth}"), || {
+            let root = SeqState::root(black_box(&nest), black_box(&deps));
+            let legal = moves
+                .iter()
+                .filter(|t| root.extend((*t).clone()).is_ok())
+                .count();
+            black_box(legal)
+        });
+    }
+}
+
 fn dependence_analysis(r: &mut Runner) {
     let stencil = irlt_bench::stencil();
     r.bench("legality/analysis/stencil", || {
@@ -61,6 +85,7 @@ fn main() {
     legality_vs_depth(&mut r);
     legality_vs_depset_size(&mut r);
     legality_figure7(&mut r);
+    extend_root_moves(&mut r);
     dependence_analysis(&mut r);
     r.finish();
 }

@@ -16,7 +16,7 @@ mod reverse_permute;
 use crate::precond::PrecondError;
 use crate::template::Template;
 use irlt_ir::{Expr, LoopNest, Symbol};
-use irlt_unimodular::{UnimodularError, UnimodularTransform};
+use irlt_unimodular::{IterSpace, UnimodularError, UnimodularTransform};
 use std::fmt;
 
 /// An error applying a template to a nest.
@@ -86,6 +86,17 @@ impl Template {
     /// ```
     pub fn apply_to(&self, nest: &LoopNest) -> Result<LoopNest, ApplyError> {
         self.check_preconditions(nest)?;
+        self.generate(nest)
+    }
+
+    /// Code generation without the precondition check, for the two
+    /// legality engines ([`crate::SeqState::extend`] and
+    /// [`crate::TransformSeq::is_legal`]), which have just run
+    /// [`Template::check_preconditions`] on `nest` themselves.
+    ///
+    /// Once the preconditions hold, only `Unimodular` can fail, and only
+    /// in normalizing `nest` ([`unimodular_normalization`]).
+    pub(crate) fn generate(&self, nest: &LoopNest) -> Result<LoopNest, ApplyError> {
         match self {
             Template::Unimodular { matrix } => {
                 let t =
@@ -118,6 +129,21 @@ impl Template {
                 Ok(interleave::apply(*i, *j, isize_, nest))
             }
         }
+    }
+}
+
+/// The `Unimodular` code generator's first step on `nest`: normalizing it
+/// to a unit-step iteration space (`IterSpace::from_nest`). Returns the
+/// error `Template::apply_to` would report if it fails.
+///
+/// On a nest that passes the `Unimodular` preconditions this is the only
+/// step of that generator that can fail: depth and `pardo` loops are
+/// precondition checks, and Fourier–Motzkin cannot report `Unbounded`
+/// (argued in the `incremental` module docs).
+pub(crate) fn unimodular_normalization(nest: &LoopNest) -> Result<(), ApplyError> {
+    match IterSpace::from_nest(nest) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(ApplyError::Unimodular(UnimodularError::Fm(e))),
     }
 }
 

@@ -10,8 +10,37 @@
 //!
 //! [`SeqState`] caches exactly that triple. Extending a candidate by one
 //! template instantiation costs **one** precondition check, **one**
-//! bounds-mapping step, and **one** fail-fast dependence-mapping step over
-//! the cached set — O(one template) instead of O(sequence length).
+//! fail-fast dependence-mapping step over the cached set, and, only if
+//! the mapping lets the candidate through, **one** bounds-mapping step —
+//! O(one template) instead of O(sequence length).
+//!
+//! # Dependences before code generation
+//!
+//! An extension runs in this order: shared-cache lookup, preconditions,
+//! fail-fast dependence mapping, code generation. Most candidates of a
+//! search die in the mapping, and code generation (Fourier–Motzkin for
+//! `Unimodular`) is the most expensive step, so it runs only for the
+//! survivors. [`TransformSeq::is_legal`] reports a code-generation
+//! failure ahead of a dependence failure, and the reordered engine still
+//! gives the same verdict, rejection kind, step and error:
+//!
+//! * `ReversePermute`, `Parallelize`, `Block`, `Coalesce` and
+//!   `Interleave` cannot fail code generation once their preconditions
+//!   hold.
+//! * A `Unimodular` step that passes its preconditions can fail only in
+//!   normalizing the input shape (`IterSpace::from_nest`: `NotAffine`,
+//!   `NonConstStep`, `CompositeOrigin`). Fourier–Motzkin cannot then
+//!   report `Unbounded`: every normalized loop has a lower and an upper
+//!   constraint over its outer variables, and `M` is invertible. So a
+//!   `Unimodular` extension checks normalization *before* the mapping.
+//!   That check depends only on the parent shape, so a state computes it
+//!   at most once, on the first `Unimodular` extension that needs it.
+//!
+//! The precedence is pinned by a unit test below, the invariant by
+//! `unimodular_codegen_fails_only_in_normalization`, and every rejection's
+//! kind, step and error by `incremental_matches_scratch`, all in the
+//! workspace test suite. The order changes no telemetry either: the
+//! mapping runs for exactly the candidates it ran for before.
 //!
 //! # Equivalence with the from-scratch test
 //!
@@ -43,6 +72,7 @@
 //! [`KernelTemplate`](crate::KernelTemplate)s need not be monotone; they
 //! go through [`TransformSeq::is_legal`], the reference oracle.
 
+use crate::codegen::{unimodular_normalization, ApplyError};
 use crate::sequence::{IllegalReason, SequenceError, TransformSeq};
 use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey};
 use crate::template::Template;
@@ -50,7 +80,7 @@ use irlt_dependence::{DepSet, Fingerprint128 as _};
 use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cached legality state of one legal sequence prefix: the sequence, the
 /// shape it produces, and the dependence set mapped through it.
@@ -93,6 +123,10 @@ pub struct SeqState {
     /// This state's precomputed cache key (interned ids); kept in
     /// lock-step with `(shape, mapped)` whenever `shared` is attached.
     skey: Option<StateKey>,
+    /// Whether `shape` normalizes for `Unimodular` code generation: set
+    /// by the first `Unimodular` extension that reaches the check and
+    /// read by every later one.
+    normalization: OnceLock<Result<(), ApplyError>>,
 }
 
 impl SeqState {
@@ -114,6 +148,7 @@ impl SeqState {
             shared: None,
             owner: 0,
             skey: None,
+            normalization: OnceLock::new(),
         }
     }
 
@@ -227,9 +262,12 @@ impl SeqState {
     }
 
     /// Extends the prefix by one built-in template instantiation,
-    /// revalidating **only the new step**: its size chaining, its
-    /// loop-bounds preconditions on the cached shape, its bounds mapping,
-    /// and the fail-fast dependence mapping of the cached set.
+    /// revalidating **only the new step**, in this order: its size
+    /// chaining, its loop-bounds preconditions on the cached shape (plus,
+    /// for `Unimodular`, whether that shape normalizes), the fail-fast
+    /// dependence mapping of the cached set, and last its bounds mapping
+    /// (see the module docs for why this order reports exactly what
+    /// [`TransformSeq::is_legal`] reports).
     ///
     /// # Errors
     ///
@@ -258,7 +296,7 @@ impl SeqState {
         // Cross-nest replay: the extension outcome is a pure function of
         // the (shape, mapped, template) key, so a deposited entry — from
         // this job or any other — substitutes for the whole
-        // precondition/codegen/mapping pipeline below. The template key is
+        // precondition/mapping/codegen pipeline below. The template key is
         // computed once here and reused by the lookup and any deposit; the
         // state key was computed when this state was created. Nothing on
         // this path renders a string, and nothing here counts the probe:
@@ -278,20 +316,18 @@ impl SeqState {
                         shared: self.shared.clone(),
                         owner: self.owner,
                         skey: Some(key),
+                        normalization: OnceLock::new(),
                     }),
                     CachedOutcome::Illegal(reason) => {
                         let reason = restamp(reason, k);
-                        tel.incr(match &reason {
-                            IllegalReason::Precondition { .. } => "legality/reject/precondition",
-                            IllegalReason::CodeGen { .. } => "legality/reject/codegen",
-                            IllegalReason::Dependences { .. } => "legality/reject/dependences",
-                        });
+                        tel.incr(reject_counter(&reason));
                         Err(ExtendError::Illegal(reason))
                     }
                 };
             }
         }
-        let deposit_illegal = |reason: &IllegalReason| {
+        let reject = |reason: IllegalReason| {
+            tel.incr(reject_counter(&reason));
             if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
                 cache.insert(
                     skey,
@@ -300,22 +336,27 @@ impl SeqState {
                     self.owner,
                 );
             }
+            Err(ExtendError::Illegal(reason))
         };
         if let Err(error) = template.check_preconditions(&self.shape) {
-            tel.incr("legality/reject/precondition");
-            let reason = IllegalReason::Precondition { step: k, error };
-            deposit_illegal(&reason);
-            return Err(ExtendError::Illegal(reason));
+            return reject(IllegalReason::Precondition { step: k, error });
         }
-        let shape = match template.apply_to(&self.shape) {
-            Ok(shape) => shape,
-            Err(error) => {
-                tel.incr("legality/reject/codegen");
-                let reason = IllegalReason::CodeGen { step: k, error };
-                deposit_illegal(&reason);
-                return Err(ExtendError::Illegal(reason));
+        // `is_legal` reports a code-generation failure ahead of the
+        // dependences. The one generator that can still fail here fails
+        // only in normalizing this shape, so that is checked (once per
+        // state) before the mapping, and the codegen below runs only for
+        // candidates the mapping let through.
+        if let Template::Unimodular { .. } = template {
+            let normalization = self
+                .normalization
+                .get_or_init(|| unimodular_normalization(&self.shape));
+            if let Err(error) = normalization {
+                return reject(IllegalReason::CodeGen {
+                    step: k,
+                    error: error.clone(),
+                });
             }
-        };
+        }
         let mapped = self.mapped.try_map_vectors_observed(
             |v| template.map_dep_vector(v),
             tel,
@@ -323,12 +364,11 @@ impl SeqState {
         );
         let mapped = match mapped {
             Ok(mapped) => mapped,
-            Err(w) => {
-                tel.incr("legality/reject/dependences");
-                let reason = IllegalReason::Dependences { witnesses: vec![w] };
-                deposit_illegal(&reason);
-                return Err(ExtendError::Illegal(reason));
-            }
+            Err(w) => return reject(IllegalReason::Dependences { witnesses: vec![w] }),
+        };
+        let shape = match template.generate(&self.shape) {
+            Ok(shape) => shape,
+            Err(error) => return reject(IllegalReason::CodeGen { step: k, error }),
         };
         let before = mapped.len();
         let mapped = mapped.prune_subsumed();
@@ -368,7 +408,17 @@ impl SeqState {
             shared: self.shared.clone(),
             owner: self.owner,
             skey,
+            normalization: OnceLock::new(),
         })
+    }
+}
+
+/// The `legality/reject/*` counter a rejection bumps.
+fn reject_counter(reason: &IllegalReason) -> &'static str {
+    match reason {
+        IllegalReason::Precondition { .. } => "legality/reject/precondition",
+        IllegalReason::CodeGen { .. } => "legality/reject/codegen",
+        IllegalReason::Dependences { .. } => "legality/reject/dependences",
     }
 }
 
@@ -417,8 +467,9 @@ impl std::error::Error for ExtendError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::LegalityReport;
     use irlt_ir::{parse_nest, Expr};
-    use irlt_unimodular::IntMatrix;
+    use irlt_unimodular::{FmError, IntMatrix, UnimodularError};
 
     fn stencil() -> (LoopNest, DepSet) {
         let nest = parse_nest(
@@ -505,6 +556,62 @@ mod tests {
                 assert!(witnesses[0].can_be_lex_negative());
             }
             other => panic!("expected dependence rejection, got {other:?}"),
+        }
+    }
+
+    /// The dependences are mapped before code generation, yet a step that
+    /// fails both reports `CodeGen`, as `is_legal` does; a step whose
+    /// code generation cannot fail reports `Dependences`. Both hold on a
+    /// fresh state and on a replay through the shared cache.
+    #[test]
+    fn codegen_rejection_takes_precedence_over_dependences() {
+        let nest = parse_nest(
+            "do i = max(1, p), n, 2\n do j = 1, m\n  a(i, j) = a(i - 2, j + 1) + 1\n enddo\nenddo",
+        )
+        .unwrap();
+        let deps = DepSet::from_distances(&[&[2, -1]]);
+        let interchange = Template::unimodular(IntMatrix::interchange(2, 0, 1)).unwrap();
+        // The mapped set is illegal…
+        assert!(!interchange.map_dep_set(&deps).is_legal());
+        // …and the shape does not normalize: a step-2 loop with a max origin.
+        assert!(matches!(
+            unimodular_normalization(&nest),
+            Err(ApplyError::Unimodular(UnimodularError::Fm(
+                FmError::CompositeOrigin { level: 0 }
+            )))
+        ));
+        let swap = Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap();
+        let block = Template::block(2, 0, 1, vec![Expr::int(2), Expr::int(2)]).unwrap();
+        let cache = SharedLegalityCache::new();
+        for root in [
+            SeqState::root(&nest, &deps),
+            SeqState::root(&nest, &deps).with_shared(cache.clone(), 1),
+            SeqState::root(&nest, &deps).with_shared(cache.clone(), 2),
+        ] {
+            for t in [&interchange, &swap, &block] {
+                let expected = TransformSeq::new(2)
+                    .push(t.clone())
+                    .unwrap()
+                    .is_legal(&nest, &deps);
+                let got = root.extend(t.clone()).unwrap_err();
+                match (&got, &expected) {
+                    (
+                        ExtendError::Illegal(IllegalReason::CodeGen { step: 0, error }),
+                        LegalityReport::Illegal(IllegalReason::CodeGen {
+                            step: 0,
+                            error: want,
+                        }),
+                    ) => {
+                        assert!(matches!(t, Template::Unimodular { .. }));
+                        assert_eq!(error, want);
+                    }
+                    (
+                        ExtendError::Illegal(IllegalReason::Dependences { .. }),
+                        LegalityReport::Illegal(IllegalReason::Dependences { .. }),
+                    ) => assert!(!matches!(t, Template::Unimodular { .. })),
+                    _ => panic!("{t}: extend {got:?}, is_legal {expected:?}"),
+                }
+            }
         }
     }
 

@@ -171,6 +171,16 @@ impl Step {
             Step::Custom(t) => t.apply_to(nest),
         }
     }
+
+    /// Code generation after the caller has checked the preconditions: a
+    /// built-in template skips its re-check, a user template runs its own
+    /// `apply_to`.
+    fn generate(&self, nest: &LoopNest) -> Result<LoopNest, ApplyError> {
+        match self {
+            Step::Builtin(t) => t.generate(nest),
+            Step::Custom(t) => t.apply_to(nest),
+        }
+    }
 }
 
 impl fmt::Display for Step {
@@ -470,7 +480,7 @@ impl TransformSeq {
             if let Err(e) = step.check_preconditions(&shape) {
                 return LegalityReport::Illegal(IllegalReason::Precondition { step: k, error: e });
             }
-            match step.apply_to(&shape) {
+            match step.generate(&shape) {
                 Ok(next) => {
                     shape = LoopNest::with_inits(next.loops().to_vec(), Vec::new(), Vec::new());
                 }

@@ -8,6 +8,7 @@
 //! default test run; failing seeds persist to `tests/corpus/` and are
 //! replayed before any novel case on later runs.
 
+use irlt::core::IllegalReason;
 use irlt::prelude::*;
 use irlt_harness::diff::shrink_oracle_case;
 use irlt_harness::gen::{
@@ -367,15 +368,34 @@ fn incremental_matches_scratch() {
                         prop_assert!(next.mapped_deps().is_legal());
                         state = next;
                     }
-                    Err(e) => {
-                        prop_assert!(
-                            e.is_illegal(),
+                    Err(ExtendError::Sequence(e)) => {
+                        return CaseResult::Fail(format!(
                             "generated sequences chain, so only Illegal is possible: {e}"
-                        );
-                        prop_assert!(
-                            !scratch.is_legal(),
-                            "incremental rejected a prefix is_legal accepts: {prefix} ({e})"
-                        );
+                        ));
+                    }
+                    Err(ExtendError::Illegal(reason)) => {
+                        let LegalityReport::Illegal(expected) = &scratch else {
+                            return CaseResult::Fail(format!(
+                                "incremental rejected a prefix is_legal accepts: {prefix} ({reason})"
+                            ));
+                        };
+                        // Same arm, step and error as the oracle. A
+                        // dependence rejection carries the first witness
+                        // found, which must be one of the oracle's.
+                        match (&reason, expected) {
+                            (
+                                IllegalReason::Dependences { witnesses },
+                                IllegalReason::Dependences { witnesses: all },
+                            ) => {
+                                prop_assert_eq!(witnesses.len(), 1);
+                                prop_assert!(
+                                    all.contains(&witnesses[0]),
+                                    "witness {} is not among is_legal's: {prefix}",
+                                    witnesses[0]
+                                );
+                            }
+                            _ => prop_assert_eq!(&reason, expected),
+                        }
                         // A `SeqState` chain only models legal prefixes;
                         // stop here like the beam search does.
                         break;
@@ -385,6 +405,87 @@ fn incremental_matches_scratch() {
             CaseResult::Pass
         },
     );
+}
+
+/// `SeqState::extend` maps the dependences before it generates code and
+/// still reports a code-generation failure first, as `is_legal` does. That
+/// is exact because once a `Unimodular` step's preconditions hold, its
+/// code generation can fail only in normalizing the input shape
+/// (`IterSpace::from_nest`), which `extend` checks before the mapping.
+/// This pins the invariant: over generated shapes, hand-written
+/// `max`/`min` and symbolic ones, and every shape one `Block`, `Coalesce`
+/// or `ReversePermute` step makes of them, a `Unimodular` step that
+/// passes its preconditions on a shape that normalizes always generates.
+#[test]
+fn unimodular_codegen_fails_only_in_normalization() {
+    use irlt::unimodular::IterSpace;
+    use irlt_harness::Rng;
+
+    let body_less =
+        |n: &LoopNest| LoopNest::with_inits(n.loops().to_vec(), n.inits().to_vec(), vec![]);
+    let catalog = MoveCatalog {
+        tile_sizes: vec![2, 3],
+        ..MoveCatalog::default()
+    };
+    let mut rng = Rng::new(0x5eed_0021);
+    let mut roots: Vec<LoopNest> = (0..120).map(|k| gen_nest(&mut rng, 1 + k % 3)).collect();
+    for text in [
+        "do i = max(1, p), n, 2\n do j = 1, m\n  a(i, j) = a(i - 2, j + 1) + 1\n enddo\nenddo",
+        "do i = 1, n\n do j = max(i, 2), min(n, i + 3), 2\n  a(i, j) = 0\n enddo\nenddo",
+        "do i = n, 1, -3\n do j = 1, min(n, i + 2)\n  a(i, j) = 0\n enddo\nenddo",
+        "do i = 1, n\n do j = 1, i\n  do k = j, m, 2\n   a(i, j, k) = 0\n  enddo\n enddo\nenddo",
+    ] {
+        roots.push(parse_nest(text).expect("fixture parses"));
+    }
+    let (mut checked, mut unnormalizable) = (0usize, 0usize);
+    for root in &roots {
+        let root = body_less(root);
+        let mut shapes = vec![root.clone()];
+        for t in catalog.moves(root.depth()) {
+            if matches!(
+                t,
+                Template::Block { .. }
+                    | Template::Coalesce { .. }
+                    | Template::ReversePermute { .. }
+            ) {
+                if let Ok(out) = t.apply_to(&root) {
+                    // Fourier–Motzkin on a blocked 3-deep nest costs
+                    // milliseconds per matrix in a debug build, so stop at 4
+                    // loops.
+                    if out.depth() <= 4 {
+                        shapes.push(body_less(&out));
+                    }
+                }
+            }
+        }
+        for shape in &shapes {
+            let n = shape.depth();
+            let mut steps: Vec<Template> = catalog
+                .moves(n)
+                .into_iter()
+                .filter(|t| matches!(t, Template::Unimodular { .. }))
+                .collect();
+            steps.push(Template::unimodular(gen_unimodular(&mut rng, n, 3)).expect("unimodular"));
+            for t in steps {
+                if t.check_preconditions(shape).is_err() {
+                    continue;
+                }
+                checked += 1;
+                match IterSpace::from_nest(shape) {
+                    Ok(_) => {
+                        if let Err(e) = t.apply_to(shape) {
+                            panic!("{t} normalizes but fails codegen ({e}) on\n{shape}");
+                        }
+                    }
+                    Err(_) => unnormalizable += 1,
+                }
+            }
+        }
+    }
+    // Not vacuous: many checks, and some shapes that do not normalize.
+    assert!(checked > 2_000, "only {checked} checks");
+    assert!(unnormalizable > 0, "no shape failed normalization");
+    eprintln!("unimodular codegen invariant: {checked} checks, {unnormalizable} unnormalizable");
 }
 
 /// The driver's cross-nest [`SharedLegalityCache`] is invisible to
