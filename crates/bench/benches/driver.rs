@@ -23,7 +23,7 @@
 //!
 //! * **Warm start** (`warmdeep64/cold` vs `warmdeep64/warm`) — the
 //!   identical deep-search batch started cold vs started from the
-//!   previous run's `irlt-cache/v2` snapshot (`BatchConfig::cache_load`).
+//!   previous run's `irlt-cache/v3` snapshot (`BatchConfig::cache_load`).
 //!   The warm row pays the full load path — read, decode, re-intern,
 //!   insert — and then replays every legality subproblem from
 //!   snapshot-owned entries. The deep workload is where warm start

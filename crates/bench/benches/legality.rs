@@ -47,7 +47,9 @@ fn legality_figure7(r: &mut Runner) {
 /// One search step's legality work: a cold root `SeqState` (no shared
 /// cache) extended by every move the default catalog offers at its
 /// depth. Most of those candidates are rejected, so this is the miss
-/// path the search pays on every fresh shape.
+/// path the search pays on every fresh shape. The `legality/admits`
+/// rows decide the same candidates without building children, as the
+/// search's last depth does.
 fn extend_root_moves(r: &mut Runner) {
     let catalog = MoveCatalog::default();
     for depth in [2usize, 3, 4] {
@@ -60,6 +62,11 @@ fn extend_root_moves(r: &mut Runner) {
                 .iter()
                 .filter(|t| root.extend((*t).clone()).is_ok())
                 .count();
+            black_box(legal)
+        });
+        r.bench(&format!("legality/admits/{depth}"), || {
+            let root = SeqState::root(black_box(&nest), black_box(&deps));
+            let legal = moves.iter().filter(|t| root.admits(t).is_ok()).count();
             black_box(legal)
         });
     }

@@ -12,7 +12,8 @@
 //!
 //! with the `mod` omitted for the outermost coalesced loop and the
 //! division omitted for the innermost. The coalesced loop is `pardo` only
-//! if *every* loop in the range was `pardo` (Table 3).
+//! if *every* loop in the range was `pardo` (Table 3); that rule lives in
+//! `Template::output_kinds`, which sets every generated loop's kind.
 
 use super::trip_count;
 use irlt_ir::{Expr, Loop, LoopKind, LoopNest, Stmt, Symbol};
@@ -40,17 +41,13 @@ pub(super) fn apply(i: usize, j: usize, nest: &LoopNest) -> LoopNest {
         .cloned()
         .reduce(Expr::mul)
         .expect("nonempty range");
-    let kind = if range.iter().all(|l| l.kind.is_parallel()) {
-        LoopKind::ParDo
-    } else {
-        LoopKind::Do
-    };
+    // Its kind is set from `Template::output_kinds` by the caller.
     let coalesced = Loop {
         var: cvar.clone(),
         lower: Expr::int(0),
         upper: Expr::sub(total, Expr::int(1)).simplify(),
         step: Expr::int(1),
-        kind,
+        kind: LoopKind::Do,
     };
 
     // Decode indices outermost-first.

@@ -96,39 +96,24 @@ impl Template {
     ///
     /// Once the preconditions hold, only `Unimodular` can fail, and only
     /// in normalizing `nest` ([`unimodular_normalization`]).
+    ///
+    /// The generators below write bounds, names and initializations; the
+    /// kind of every output loop is then set from
+    /// [`Template::output_kinds`], the one definition of kinds.
     pub(crate) fn generate(&self, nest: &LoopNest) -> Result<LoopNest, ApplyError> {
-        match self {
+        let out = match self {
             Template::Unimodular { matrix } => {
-                let t =
-                    UnimodularTransform::new(matrix.clone()).expect("validated at construction");
-                Ok(t.apply(nest)?)
+                // The constructor validated the matrix: no determinant
+                // re-check per call.
+                UnimodularTransform::from_validated(matrix.clone()).apply(nest)?
             }
-            Template::ReversePermute { rev, perm } => Ok(reverse_permute::apply(rev, perm, nest)),
-            Template::Parallelize { parflag } => {
-                let loops = nest
-                    .loops()
-                    .iter()
-                    .zip(parflag)
-                    .map(|(l, &par)| {
-                        let mut l = l.clone();
-                        if par {
-                            l.kind = irlt_ir::LoopKind::ParDo;
-                        }
-                        l
-                    })
-                    .collect();
-                Ok(LoopNest::with_inits(
-                    loops,
-                    nest.inits().to_vec(),
-                    nest.body().to_vec(),
-                ))
-            }
-            Template::Block { i, j, bsize, .. } => Ok(block::apply(*i, *j, bsize, nest)),
-            Template::Coalesce { i, j, .. } => Ok(coalesce::apply(*i, *j, nest)),
-            Template::Interleave { i, j, isize_, .. } => {
-                Ok(interleave::apply(*i, *j, isize_, nest))
-            }
-        }
+            Template::ReversePermute { rev, perm } => reverse_permute::apply(rev, perm, nest),
+            Template::Parallelize { .. } => nest.clone(),
+            Template::Block { i, j, bsize, .. } => block::apply(*i, *j, bsize, nest),
+            Template::Coalesce { i, j, .. } => coalesce::apply(*i, *j, nest),
+            Template::Interleave { i, j, isize_, .. } => interleave::apply(*i, *j, isize_, nest),
+        };
+        Ok(out.with_kinds(&self.output_kinds(&nest.kinds())))
     }
 }
 

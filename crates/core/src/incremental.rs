@@ -42,6 +42,19 @@
 //! workspace test suite. The order changes no telemetry either: the
 //! mapping runs for exactly the candidates it ran for before.
 //!
+//! # Verdicts without children
+//!
+//! [`SeqState::admits`] runs the same decision as [`SeqState::extend`]
+//! — chaining, cache probe, preconditions, normalization check and
+//! fail-fast mapping, one private step both call — and stops before code
+//! generation, pruning and interning. It reports exactly `extend`'s
+//! verdict, kind, step and error: code generation cannot fail once the
+//! decision passes (see above). A search asks it for the candidates it
+//! will never extend, those of its last depth. Through a
+//! [`SharedLegalityCache`], a legal `admits` verdict is deposited as an
+//! entry that answers only later `admits` probes; an `extend` probe
+//! that finds it counts a miss, builds the child and replaces it.
+//!
 //! # Equivalence with the from-scratch test
 //!
 //! §3.2 allows *intermediate* stages of a sequence to be illegal; only the
@@ -74,7 +87,7 @@
 
 use crate::codegen::{unimodular_normalization, ApplyError};
 use crate::sequence::{IllegalReason, SequenceError, TransformSeq};
-use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey};
+use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey, TemplateKey};
 use crate::template::Template;
 use irlt_dependence::{DepSet, Fingerprint128 as _};
 use irlt_ir::LoopNest;
@@ -258,7 +271,7 @@ impl SeqState {
         let cache = self.shared.as_ref()?;
         let skey = self.skey?;
         let tkey = cache.template_key(template);
-        Some(cache.lookup(skey, tkey, self.owner).is_some())
+        Some(cache.lookup(skey, tkey, self.owner, true).is_some())
     }
 
     /// Extends the prefix by one built-in template instantiation,
@@ -276,12 +289,92 @@ impl SeqState {
     /// [`ExtendError::Illegal`] with the same [`IllegalReason`] taxonomy
     /// as [`TransformSeq::is_legal`] otherwise.
     pub fn extend(&self, template: Template) -> Result<SeqState, ExtendError> {
+        let (mapped, probe) = match self.decide(&template, true)? {
+            Admission::Replayed { shape, mapped, key } => {
+                return Ok(self.child(template, shape, mapped, Some(key)));
+            }
+            Admission::Admitted => unreachable!("an extend probe never replays Admitted"),
+            Admission::Decided { mapped, probe } => (mapped, probe),
+        };
+        let shape = match template.generate(&self.shape) {
+            Ok(shape) => shape,
+            Err(error) => {
+                let step = self.seq.len();
+                return Err(self.reject(probe, IllegalReason::CodeGen { step, error }));
+            }
+        };
+        let tel = &self.telemetry;
+        let before = mapped.len();
+        let mapped = mapped.prune_subsumed();
+        if tel.is_enabled() {
+            tel.incr("legality/prune/calls");
+            tel.count(
+                "legality/prune/vectors_dropped",
+                (before - mapped.len()) as u64,
+            );
+        }
+        let (skey, shape, mapped) = if let Some(cache) = &self.shared {
+            // Intern the child pair once (this also computes its state
+            // key for *its* future extensions) and adopt the canonical
+            // pool Arcs so identical children across jobs alias.
+            let (child_key, shape, mapped) = cache.intern_state(Arc::new(shape), Arc::new(mapped));
+            if let Some((pkey, tkey)) = probe {
+                cache.insert(
+                    pkey,
+                    tkey,
+                    CachedOutcome::Legal {
+                        shape: Arc::clone(&shape),
+                        mapped: Arc::clone(&mapped),
+                        key: child_key,
+                    },
+                    self.owner,
+                );
+            }
+            (Some(child_key), shape, mapped)
+        } else {
+            (None, Arc::new(shape), Arc::new(mapped))
+        };
+        Ok(self.child(template, shape, mapped, skey))
+    }
+
+    /// The verdict [`SeqState::extend`] would reach, without building the
+    /// child: the same chaining check, cache probe, preconditions,
+    /// normalization check and fail-fast dependence mapping, but no code
+    /// generation, pruning or interning. It returns exactly the error
+    /// `extend` returns (kind, step and witness), and `Ok` exactly when
+    /// `extend` succeeds (code generation cannot fail once these checks
+    /// pass; see the module docs).
+    ///
+    /// With a [`SharedLegalityCache`] attached, a legal verdict it
+    /// computes is deposited as an entry that answers later `admits`
+    /// probes only; a later `extend` of the same pair recomputes the
+    /// child and replaces it. `admits` also replays `extend`'s entries.
+    ///
+    /// # Errors
+    ///
+    /// As [`SeqState::extend`].
+    pub fn admits(&self, template: &Template) -> Result<(), ExtendError> {
+        let probe = match self.decide(template, false)? {
+            Admission::Decided { probe, .. } => probe,
+            Admission::Replayed { .. } | Admission::Admitted => None,
+        };
+        if let (Some(cache), Some((skey, tkey))) = (&self.shared, probe) {
+            cache.insert(skey, tkey, CachedOutcome::Admitted, self.owner);
+        }
+        Ok(())
+    }
+
+    /// The legality decision [`SeqState::extend`] and
+    /// [`SeqState::admits`] share: chaining, the cache probe, the
+    /// preconditions, the `Unimodular` normalization check and the
+    /// fail-fast dependence mapping, in that order. Every rejection is
+    /// counted and deposited here. `need_child` marks an `extend` probe,
+    /// which an `Admitted` entry cannot answer.
+    fn decide(&self, template: &Template, need_child: bool) -> Result<Admission, ExtendError> {
         let tel = &self.telemetry;
         let k = self.seq.len();
-        let seq = self
-            .seq
-            .clone()
-            .push(template.clone())
+        self.seq
+            .check_chain(template.input_size())
             .map_err(ExtendError::Sequence)?;
         if tel.is_enabled() {
             // Every extension past the chaining check reuses this state's
@@ -301,23 +394,17 @@ impl SeqState {
         // state key was computed when this state was created. Nothing on
         // this path renders a string, and nothing here counts the probe:
         // the cache does, and the pool publishes those counters once.
-        let shared_key = match (&self.shared, self.skey) {
-            (Some(cache), Some(skey)) => Some((skey, cache.template_key(&template))),
+        let probe = match (&self.shared, self.skey) {
+            (Some(cache), Some(skey)) => Some((skey, cache.template_key(template))),
             _ => None,
         };
-        if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
-            if let Some(outcome) = cache.lookup(skey, tkey, self.owner) {
+        if let (Some(cache), Some((skey, tkey))) = (&self.shared, probe) {
+            if let Some(outcome) = cache.lookup(skey, tkey, self.owner, need_child) {
                 return match outcome {
-                    CachedOutcome::Legal { shape, mapped, key } => Ok(SeqState {
-                        seq,
-                        shape,
-                        mapped,
-                        telemetry: tel.clone(),
-                        shared: self.shared.clone(),
-                        owner: self.owner,
-                        skey: Some(key),
-                        normalization: OnceLock::new(),
-                    }),
+                    CachedOutcome::Legal { shape, mapped, key } => {
+                        Ok(Admission::Replayed { shape, mapped, key })
+                    }
+                    CachedOutcome::Admitted => Ok(Admission::Admitted),
                     CachedOutcome::Illegal(reason) => {
                         let reason = restamp(reason, k);
                         tel.incr(reject_counter(&reason));
@@ -326,35 +413,21 @@ impl SeqState {
                 };
             }
         }
-        let reject = |reason: IllegalReason| {
-            tel.incr(reject_counter(&reason));
-            if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
-                cache.insert(
-                    skey,
-                    tkey,
-                    CachedOutcome::Illegal(reason.clone()),
-                    self.owner,
-                );
-            }
-            Err(ExtendError::Illegal(reason))
-        };
         if let Err(error) = template.check_preconditions(&self.shape) {
-            return reject(IllegalReason::Precondition { step: k, error });
+            return Err(self.reject(probe, IllegalReason::Precondition { step: k, error }));
         }
         // `is_legal` reports a code-generation failure ahead of the
         // dependences. The one generator that can still fail here fails
         // only in normalizing this shape, so that is checked (once per
-        // state) before the mapping, and the codegen below runs only for
-        // candidates the mapping let through.
+        // state) before the mapping, and the codegen in `extend` runs only
+        // for candidates the mapping let through.
         if let Template::Unimodular { .. } = template {
             let normalization = self
                 .normalization
                 .get_or_init(|| unimodular_normalization(&self.shape));
             if let Err(error) = normalization {
-                return reject(IllegalReason::CodeGen {
-                    step: k,
-                    error: error.clone(),
-                });
+                let error = error.clone();
+                return Err(self.reject(probe, IllegalReason::CodeGen { step: k, error }));
             }
         }
         let mapped = self.mapped.try_map_vectors_observed(
@@ -362,55 +435,69 @@ impl SeqState {
             tel,
             template.name(),
         );
-        let mapped = match mapped {
-            Ok(mapped) => mapped,
-            Err(w) => return reject(IllegalReason::Dependences { witnesses: vec![w] }),
-        };
-        let shape = match template.generate(&self.shape) {
-            Ok(shape) => shape,
-            Err(error) => return reject(IllegalReason::CodeGen { step: k, error }),
-        };
-        let before = mapped.len();
-        let mapped = mapped.prune_subsumed();
-        if tel.is_enabled() {
-            tel.incr("legality/prune/calls");
-            tel.count(
-                "legality/prune/vectors_dropped",
-                (before - mapped.len()) as u64,
+        match mapped {
+            Ok(mapped) => Ok(Admission::Decided { mapped, probe }),
+            Err(w) => Err(self.reject(probe, IllegalReason::Dependences { witnesses: vec![w] })),
+        }
+    }
+
+    /// Counts a rejection, deposits it under `probe` when a cache is
+    /// attached, and wraps it.
+    fn reject(&self, probe: Option<(StateKey, TemplateKey)>, reason: IllegalReason) -> ExtendError {
+        self.telemetry.incr(reject_counter(&reason));
+        if let (Some(cache), Some((skey, tkey))) = (&self.shared, probe) {
+            cache.insert(
+                skey,
+                tkey,
+                CachedOutcome::Illegal(reason.clone()),
+                self.owner,
             );
         }
-        let (skey, shape, mapped) = if let Some(cache) = &self.shared {
-            // Intern the child pair once (this also computes its state
-            // key for *its* future extensions) and adopt the canonical
-            // pool Arcs so identical children across jobs alias.
-            let (child_key, shape, mapped) = cache.intern_state(Arc::new(shape), Arc::new(mapped));
-            if let Some((pkey, tkey)) = shared_key {
-                cache.insert(
-                    pkey,
-                    tkey,
-                    CachedOutcome::Legal {
-                        shape: Arc::clone(&shape),
-                        mapped: Arc::clone(&mapped),
-                        key: child_key,
-                    },
-                    self.owner,
-                );
-            }
-            (Some(child_key), shape, mapped)
-        } else {
-            (None, Arc::new(shape), Arc::new(mapped))
-        };
-        Ok(SeqState {
-            seq,
+        ExtendError::Illegal(reason)
+    }
+
+    /// The state this one becomes after `template`, given the child's
+    /// shape, mapped set and (with a cache) state key.
+    fn child(
+        &self,
+        template: Template,
+        shape: Arc<LoopNest>,
+        mapped: Arc<DepSet>,
+        skey: Option<StateKey>,
+    ) -> SeqState {
+        SeqState {
+            seq: self
+                .seq
+                .clone()
+                .push(template)
+                .expect("decide checked the chaining"),
             shape,
             mapped,
-            telemetry: tel.clone(),
+            telemetry: self.telemetry.clone(),
             shared: self.shared.clone(),
             owner: self.owner,
             skey,
             normalization: OnceLock::new(),
-        })
+        }
     }
+}
+
+/// What [`SeqState::decide`] found for an extension that passed.
+enum Admission {
+    /// A `Legal` entry: the child's shape, mapped set and state key.
+    Replayed {
+        shape: Arc<LoopNest>,
+        mapped: Arc<DepSet>,
+        key: StateKey,
+    },
+    /// An `Admitted` entry (only an `admits` probe takes one).
+    Admitted,
+    /// Computed here: the mapped set, not yet pruned, and the probe key
+    /// any deposit goes under.
+    Decided {
+        mapped: DepSet,
+        probe: Option<(StateKey, TemplateKey)>,
+    },
 }
 
 /// The `legality/reject/*` counter a rejection bumps.
@@ -594,6 +681,10 @@ mod tests {
                     .unwrap()
                     .is_legal(&nest, &deps);
                 let got = root.extend(t.clone()).unwrap_err();
+                assert_eq!(
+                    format!("{:?}", root.admits(t).unwrap_err()),
+                    format!("{got:?}")
+                );
                 match (&got, &expected) {
                     (
                         ExtendError::Illegal(IllegalReason::CodeGen { step: 0, error }),
@@ -615,6 +706,34 @@ mod tests {
         }
     }
 
+    /// `admits` runs the decision `extend` runs and stops there: the
+    /// extension is counted, but nothing is pruned or generated, and a
+    /// cache holds a verdict-only entry that `extend` later replaces.
+    #[test]
+    fn admits_decides_without_building_a_child() {
+        let (nest, deps) = stencil();
+        let tel = Telemetry::enabled();
+        let cache = SharedLegalityCache::new();
+        let root = SeqState::root(&nest, &deps)
+            .with_telemetry(tel.clone())
+            .with_shared(cache.clone(), 0);
+        let skew = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
+        root.admits(&skew).unwrap();
+        assert!(root
+            .admits(&Template::parallelize(vec![true, true]))
+            .is_err());
+        let r = tel.report();
+        assert_eq!(r.counter("legality/extensions"), 2);
+        assert_eq!(r.counter("legality/reject/dependences"), 1);
+        assert_eq!(r.counter("legality/prune/calls"), 0);
+        // The skew's entry answers `admits`, not `extend`.
+        assert_eq!(root.shared_probe(&skew), Some(false));
+        let child = root.extend(skew.clone()).unwrap();
+        assert_eq!(root.shared_probe(&skew), Some(true));
+        assert_eq!(child.shape(), root.extend(skew).unwrap().shape());
+        assert_eq!(tel.report().counter("legality/prune/calls"), 1);
+    }
+
     #[test]
     fn size_mismatch_is_not_illegal() {
         let (nest, deps) = stencil();
@@ -624,6 +743,10 @@ mod tests {
             .unwrap_err();
         assert!(!err.is_illegal());
         assert!(err.to_string().contains("3-deep"));
+        let err = root
+            .admits(&Template::parallelize(vec![true; 3]))
+            .unwrap_err();
+        assert!(!err.is_illegal());
     }
 
     #[test]

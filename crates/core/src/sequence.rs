@@ -318,15 +318,22 @@ impl TransformSeq {
     }
 
     fn push_step(&mut self, step: Step) -> Result<(), SequenceError> {
+        self.check_chain(step.input_size())?;
+        self.steps.push(step);
+        Ok(())
+    }
+
+    /// The chaining check [`TransformSeq::push`] runs, without pushing: a
+    /// next step must take this sequence's output size as its input size.
+    pub(crate) fn check_chain(&self, input_size: usize) -> Result<(), SequenceError> {
         let expected = self.output_size();
-        if step.input_size() != expected {
+        if input_size != expected {
             return Err(SequenceError::SizeMismatch {
                 step: self.steps.len(),
                 expected,
-                found: step.input_size(),
+                found: input_size,
             });
         }
-        self.steps.push(step);
         Ok(())
     }
 

@@ -12,7 +12,10 @@
 //! nests: the first job to extend a given `(state, template)` pair pays
 //! the mapping cost and deposits the outcome; every later job — same nest
 //! or a structurally identical one — replays the deposited outcome
-//! verbatim.
+//! verbatim. [`SeqState::admits`](crate::SeqState::admits), which decides
+//! an extension without building the child, deposits a legal verdict as
+//! an `Admitted` entry: it answers later `admits` probes, and the first
+//! `extend` of the pair replaces it with the child.
 //!
 //! # Keying: interned structural ids
 //!
@@ -63,7 +66,7 @@
 //! # Persistence
 //!
 //! A cache can be serialized to a versioned
-//! `irlt-cache/v2` artifact and re-loaded in a later process
+//! `irlt-cache/v3` artifact and re-loaded in a later process
 //! ([`SharedLegalityCache::save_snapshot`] /
 //! [`SharedLegalityCache::load_snapshot`], format spec in
 //! [`crate::snapshot`]): the snapshot stores structural *values* (pools +
@@ -150,6 +153,12 @@ pub(crate) enum CachedOutcome {
         mapped: Arc<DepSet>,
         key: StateKey,
     },
+    /// Legal, deposited by [`SeqState::admits`](crate::SeqState::admits),
+    /// which decides without building the child. It answers `admits`
+    /// probes only: an `extend` probe that finds it is a miss, and the
+    /// `Legal` entry that extension deposits replaces it. An `Admitted`
+    /// deposit never replaces a resident entry.
+    Admitted,
     /// Illegal, with the reason (step index unset; re-stamped on replay).
     Illegal(IllegalReason),
 }
@@ -533,7 +542,9 @@ impl SharedLegalityCache {
 
     /// Looks up `(state, template)`, counting a hit (and a cross-job hit
     /// when the depositor differs from `owner`) or a miss on the key's
-    /// shard.
+    /// shard. With `need_child` (an `extend` probe) an
+    /// [`Admitted`](CachedOutcome::Admitted) entry cannot answer, so it
+    /// counts as a miss and returns `None`.
     ///
     /// The probe key is a few `Copy` words and this path performs **no
     /// allocation** — including shard selection, which is a streaming
@@ -545,13 +556,14 @@ impl SharedLegalityCache {
         state: StateKey,
         template: TemplateKey,
         owner: u64,
+        need_child: bool,
     ) -> Option<CachedOutcome> {
         self.inner.key_probes.fetch_add(1, Ordering::Relaxed);
         let probe = ProbeKey::new(state, template);
         let shard = self.shard_for(probe);
         let map = shard.lock();
         match map.get(&probe) {
-            Some(entry) => {
+            Some(entry) if !(need_child && matches!(entry.outcome, CachedOutcome::Admitted)) => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 if entry.owner != owner {
                     self.inner.cross_hits.fetch_add(1, Ordering::Relaxed);
@@ -561,7 +573,7 @@ impl SharedLegalityCache {
                 }
                 Some(entry.outcome.clone())
             }
-            None => {
+            _ => {
                 shard.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -569,7 +581,9 @@ impl SharedLegalityCache {
     }
 
     /// Deposits the outcome of one extension, sweeping the key's shard
-    /// first if that shard is full.
+    /// first if that shard is full. An [`Admitted`](CachedOutcome::Admitted)
+    /// outcome is dropped when the key is already resident: it must not
+    /// replace the `Legal` entry a concurrent `extend` deposited.
     pub(crate) fn insert(
         &self,
         state: StateKey,
@@ -580,6 +594,9 @@ impl SharedLegalityCache {
         let key = ProbeKey::new(state, template);
         let shard = self.shard_for(key);
         let mut map = shard.lock();
+        if matches!(outcome, CachedOutcome::Admitted) && map.contains_key(&key) {
+            return;
+        }
         if map.len() >= self.inner.shard_capacity {
             shard
                 .evictions

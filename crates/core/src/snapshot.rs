@@ -1,4 +1,4 @@
-//! Persistent snapshots of the shared legality cache (`irlt-cache/v2`).
+//! Persistent snapshots of the shared legality cache (`irlt-cache/v3`).
 //!
 //! A batch run's [`SharedLegalityCache`] is a memo of pure legality
 //! subproblems, so it is valid *across* processes: the same
@@ -23,14 +23,14 @@
 //! a separate FNV-1a 64 over the payload bytes, chosen precisely because
 //! it is a fixed, build-independent function.
 //!
-//! # Byte layout (`irlt-cache/v2`)
+//! # Byte layout (`irlt-cache/v3`)
 //!
 //! All integers are little-endian and fixed-width; `vec(X)` is a `u32`
 //! count followed by that many `X`; `str` is a `u32` byte length followed
 //! by UTF-8 bytes.
 //!
 //! ```text
-//! header   := magic[10]=b"irlt-cache"  version:u16=2
+//! header   := magic[10]=b"irlt-cache"  version:u16=3
 //!             payload_len:u64  checksum:u64      (FNV-1a 64 of payload)
 //! payload  := shapes:vec(nest)  deps:vec(depset)  templates:vec(template)
 //!             entries:vec(entry)
@@ -52,8 +52,9 @@
 //! matrix   := rows:u32  cols:u32  cells:i64 × rows·cols
 //! perm     := vec(u32)
 //! entry    := shape:u32  mapped:u32  template:u32  outcome
-//! outcome  := 0:u8  child_shape:u32  child_mapped:u32
-//!           | 1:u8  reason
+//! outcome  := 0:u8  child_shape:u32  child_mapped:u32    (Legal)
+//!           | 1:u8  reason                            (Illegal)
+//!           | 2:u8                                    (Admitted)
 //! reason   := tag:u8 …    (0 Dependences vec(depvec) · 1 Precondition
 //!                          step:u64 precond · 2 CodeGen step:u64 apply)
 //! ```
@@ -66,9 +67,12 @@
 //! the **whole** payload decodes — rejection always degrades to a clean
 //! cold start.
 //!
-//! Version 1 differed only in a pruning-flag byte before each entry's key
-//! and each legal outcome's child key. Every state is pruned since
-//! version 2, so a v1 file is rejected with
+//! An `Admitted` entry is a legal verdict reached without building the
+//! child (`SeqState::admits`); it carries no child key.
+//!
+//! Version 2 had no `Admitted` outcome, and version 1 also stored a
+//! pruning-flag byte before each entry's key and each legal outcome's
+//! child key. A file of any other version is rejected with
 //! [`SnapshotError::BadVersion`] and the run starts cold.
 
 use crate::codegen::ApplyError;
@@ -87,8 +91,8 @@ use std::sync::Arc;
 
 /// `b"irlt-cache"` — the artifact family.
 pub const SNAPSHOT_MAGIC: &[u8; 10] = b"irlt-cache";
-/// Current format version (`irlt-cache/v2`).
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// Current format version (`irlt-cache/v3`).
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 const HEADER_LEN: usize = 10 + 2 + 8 + 8;
 /// Maximum nesting of recursive structures (`Expr`, guarded `Stmt`) a
@@ -1025,6 +1029,7 @@ struct DecodedEntry {
 enum DecodedOutcome {
     Legal { shape: u32, mapped: u32 },
     Illegal(IllegalReason),
+    Admitted,
 }
 
 struct DecodedPayload {
@@ -1075,6 +1080,7 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
                 }
             }
             1 => DecodedOutcome::Illegal(dec_reason(&mut r)?),
+            2 => DecodedOutcome::Admitted,
             _ => return Err(SnapshotError::Malformed("bad outcome tag")),
         };
         entries.push(DecodedEntry {
@@ -1101,7 +1107,7 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedPayload, SnapshotError> {
 
 impl SharedLegalityCache {
     /// Serializes the resident entries and interner pools to an
-    /// `irlt-cache/v2` artifact.
+    /// `irlt-cache/v3` artifact.
     ///
     /// The output is deterministic for a given cache content (pools in id
     /// order, entries sorted by key ids), so saving an unchanged cache
@@ -1131,6 +1137,7 @@ impl SharedLegalityCache {
                     ..
                 } => DecodedOutcome::Legal { shape, mapped },
                 CachedOutcome::Illegal(reason) => DecodedOutcome::Illegal(reason.clone()),
+                CachedOutcome::Admitted => DecodedOutcome::Admitted,
             };
             entries.push((key.shape, key.mapped, key.template, outcome));
         });
@@ -1180,6 +1187,7 @@ impl SharedLegalityCache {
                     w.u8(1);
                     enc_reason(&mut w, reason)?;
                 }
+                DecodedOutcome::Admitted => w.u8(2),
             }
         }
 
@@ -1289,6 +1297,7 @@ impl SharedLegalityCache {
                     },
                 },
                 DecodedOutcome::Illegal(reason) => CachedOutcome::Illegal(reason),
+                DecodedOutcome::Admitted => CachedOutcome::Admitted,
             };
             if self.load_entry(probe, outcome) {
                 stats.entries_loaded += 1;
@@ -1652,9 +1661,10 @@ mod tests {
             Err(SnapshotError::BadChecksum { .. })
         ));
 
-        // Wrong versions, including v1 (the layout with pruning flags):
-        // rejected before the payload is read, and the cache stays cold.
-        for found in [1u16, 0x63] {
+        // Wrong versions, including v1 (the layout with pruning flags) and
+        // v2 (no Admitted outcome): rejected before the payload is read,
+        // and the cache stays cold.
+        for found in [1u16, 2, 0x63] {
             let mut badver = bytes.clone();
             badver[10..12].copy_from_slice(&found.to_le_bytes());
             let fresh = SharedLegalityCache::new();
@@ -1763,6 +1773,10 @@ mod tests {
         ] {
             let _ = root.extend(t);
         }
+        // And an entry decided without building its child.
+        root.admits(&Template::parallelize(vec![false, false]))
+            .unwrap();
+        assert_eq!(admitted_entries(&cache), 1);
         let bytes = cache.save_snapshot().unwrap();
         let (mut loaded, mut rejected) = (0, 0);
         for at in HEADER_LEN..bytes.len() {
@@ -1793,6 +1807,72 @@ mod tests {
             loaded > 0 && rejected > 0,
             "{loaded} loaded, {rejected} rejected"
         );
+    }
+
+    /// Resident entries deposited by `SeqState::admits`.
+    fn admitted_entries(cache: &SharedLegalityCache) -> usize {
+        let mut n = 0;
+        cache.for_each_entry(|_, e| n += usize::from(matches!(e.outcome, CachedOutcome::Admitted)));
+        n
+    }
+
+    /// Legal verdicts reached without a child are saved, loaded and
+    /// saved again to the same bytes. Loaded, they answer `admits` but
+    /// not `extend`, which replaces them with a full `Legal` entry.
+    #[test]
+    fn admitted_entries_survive_save_load_save() {
+        let cache = SharedLegalityCache::with_shards(1 << 12, 4);
+        warm_cache(&cache);
+        let (nest, deps) = stencil();
+        let root = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
+        let legal = [
+            Template::parallelize(vec![false, false]),
+            Template::block(2, 0, 1, vec![Expr::int(4), Expr::int(4)]).unwrap(),
+        ];
+        for t in &legal {
+            root.admits(t).unwrap();
+        }
+        // An illegal verdict deposits the ordinary rejection.
+        root.admits(&Template::parallelize(vec![true, false]))
+            .unwrap_err();
+        assert_eq!(admitted_entries(&cache), 2);
+        let bytes = cache.save_snapshot().unwrap();
+
+        let warm = SharedLegalityCache::with_shards(1 << 12, 2);
+        let loaded = warm.load_snapshot(&bytes).unwrap();
+        assert_eq!(loaded.entries_loaded as usize, cache.len());
+        assert_eq!(admitted_entries(&warm), 2);
+        assert_eq!(warm.save_snapshot().unwrap(), bytes, "save→load→save");
+
+        let replay = SeqState::root(&nest, &deps).with_shared(warm.clone(), 1);
+        let before = warm.stats();
+        replay.admits(&legal[0]).unwrap();
+        let after = warm.stats();
+        assert_eq!(
+            (after.hits, after.snapshot_hits),
+            (before.hits + 1, before.snapshot_hits + 1)
+        );
+        let child = replay.extend(legal[0].clone()).unwrap();
+        assert_eq!(
+            warm.stats().misses,
+            after.misses + 1,
+            "Admitted cannot answer extend"
+        );
+        assert_eq!(admitted_entries(&warm), 1);
+        assert_eq!(
+            child.shape(),
+            SeqState::root(&nest, &deps)
+                .extend(legal[0].clone())
+                .unwrap()
+                .shape()
+        );
+        // The upgraded entry now replays the child.
+        assert_eq!(replay.shared_probe(&legal[0]), Some(true));
+        let upgraded = warm.save_snapshot().unwrap();
+        let again = SharedLegalityCache::with_shards(1 << 12, 8);
+        again.load_snapshot(&upgraded).unwrap();
+        assert_eq!(admitted_entries(&again), 1);
+        assert_eq!(again.save_snapshot().unwrap(), upgraded);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The set is *extensible*: anything implementing
 //! [`KernelTemplate`](crate::KernelTemplate) participates in sequences.
 
-use irlt_ir::Expr;
+use irlt_ir::{Expr, LoopKind};
 use irlt_unimodular::IntMatrix;
 use std::fmt;
 
@@ -357,6 +357,62 @@ impl Template {
             Template::Block { i, j, .. } | Template::Interleave { i, j, .. } => n + (j - i + 1),
             Template::Coalesce { i, j, .. } => n - (j - i),
             _ => n,
+        }
+    }
+
+    /// The loop kinds of the output nest, given the input nest's kinds
+    /// (Tables 3–4). This is the one definition of output kinds: code
+    /// generation stamps it onto every nest it builds, and the search
+    /// scores a last-depth candidate from it without generating code.
+    ///
+    /// * `Unimodular` emits sequential loops (its input has no `pardo`).
+    /// * `ReversePermute` moves loop `k`'s kind to `perm[k]`.
+    /// * `Parallelize` makes loop `k` a `pardo` where `parflag[k]`.
+    /// * `Block` and `Interleave` give both new loops of `k ∈ i..=j` the
+    ///   kind of loop `k`.
+    /// * `Coalesce` makes the collapsed loop a `pardo` only if every loop
+    ///   in `i..=j` was one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from [`Template::input_size`].
+    pub fn output_kinds(&self, input: &[LoopKind]) -> Vec<LoopKind> {
+        assert_eq!(input.len(), self.input_size(), "one kind per input loop");
+        match self {
+            Template::Unimodular { .. } => vec![LoopKind::Do; input.len()],
+            Template::ReversePermute { perm, .. } => {
+                let mut out = vec![LoopKind::Do; input.len()];
+                for (k, &kind) in input.iter().enumerate() {
+                    out[perm.new_position(k)] = kind;
+                }
+                out
+            }
+            Template::Parallelize { parflag } => input
+                .iter()
+                .zip(parflag)
+                .map(|(&kind, &par)| if par { LoopKind::ParDo } else { kind })
+                .collect(),
+            Template::Block { i, j, .. } | Template::Interleave { i, j, .. } => {
+                let range = &input[*i..=*j];
+                let mut out = Vec::with_capacity(self.output_size());
+                out.extend_from_slice(&input[..*i]);
+                out.extend_from_slice(range);
+                out.extend_from_slice(range);
+                out.extend_from_slice(&input[j + 1..]);
+                out
+            }
+            Template::Coalesce { i, j, .. } => {
+                let all_parallel = input[*i..=*j].iter().all(|k| k.is_parallel());
+                let mut out = Vec::with_capacity(self.output_size());
+                out.extend_from_slice(&input[..*i]);
+                out.push(if all_parallel {
+                    LoopKind::ParDo
+                } else {
+                    LoopKind::Do
+                });
+                out.extend_from_slice(&input[j + 1..]);
+                out
+            }
         }
     }
 }

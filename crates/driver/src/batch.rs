@@ -20,12 +20,12 @@ pub struct BatchConfig {
     /// batch shares, before a generational sweep — the memory-pressure
     /// degradation knob.
     pub cache_capacity: usize,
-    /// Warm-start: load this `irlt-cache/v2` snapshot into the shared
+    /// Warm-start: load this `irlt-cache/v3` snapshot into the shared
     /// cache before the batch starts. A missing or rejected file
     /// degrades to a clean cold start (warning on stderr,
     /// `driver/cache/snapshot_rejected` counter) — never an error.
     pub cache_load: Option<PathBuf>,
-    /// Save the shared cache as an `irlt-cache/v2` snapshot after the
+    /// Save the shared cache as an `irlt-cache/v3` snapshot after the
     /// batch, so the next run can `cache_load` it. The write is atomic
     /// (temporary file, fsync, rename): a crash mid-save leaves the
     /// previous snapshot intact.
@@ -146,7 +146,7 @@ pub fn worker_count(threads: usize) -> usize {
 }
 
 /// Opens the shared legality cache for a pool of `workers` threads and
-/// warm-starts it from the `irlt-cache/v2` snapshot at `load`, if any.
+/// warm-starts it from the `irlt-cache/v3` snapshot at `load`, if any.
 ///
 /// The cache is striped over `next_power_of_two(workers * 4)` shards, so
 /// probes rarely collide on a stripe (results are bit-identical for every

@@ -12,7 +12,7 @@
 //!   --beam N           beam width (default 8)
 //!   --deadline-ms N    per-job wall-clock budget (default: none)
 //!   --cache-capacity N shared-cache entries before a sweep
-//!   --cache-load PATH  warm-start from an irlt-cache/v2 snapshot
+//!   --cache-load PATH  warm-start from an irlt-cache/v3 snapshot
 //!                      (a rejected file falls back to a cold start)
 //!   --cache-save PATH  save the cache snapshot after the batch
 //!   --out PATH         write the batch JSON artifact to PATH

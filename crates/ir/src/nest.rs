@@ -214,6 +214,25 @@ impl LoopNest {
         self.loops.iter().map(|l| l.var.clone()).collect()
     }
 
+    /// Loop kinds, outermost first.
+    pub fn kinds(&self) -> Vec<LoopKind> {
+        self.loops.iter().map(|l| l.kind).collect()
+    }
+
+    /// This nest with loop `k`'s kind set to `kinds[k]`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kinds.len()` differs from the depth.
+    #[must_use]
+    pub fn with_kinds(mut self, kinds: &[LoopKind]) -> LoopNest {
+        assert_eq!(kinds.len(), self.loops.len(), "one kind per loop");
+        for (l, &kind) in self.loops.iter_mut().zip(kinds) {
+            l.kind = kind;
+        }
+        self
+    }
+
     /// Position of an index variable, if it binds a loop in this nest.
     pub fn level_of(&self, var: &Symbol) -> Option<usize> {
         self.loops.iter().position(|l| &l.var == var)

@@ -6,7 +6,7 @@
 //! execution" — these are exactly the three goals here.
 
 use irlt_cachesim::{simulate_nest_observed, AddressMap, CacheConfig};
-use irlt_ir::LoopNest;
+use irlt_ir::{LoopKind, LoopNest};
 use irlt_obs::Telemetry;
 use std::fmt;
 
@@ -60,34 +60,44 @@ impl Goal {
     /// a disabled handle this is exactly [`Goal::score`].
     pub fn score_observed(&self, nest: &LoopNest, tel: &Telemetry) -> Option<f64> {
         match self {
-            Goal::OuterParallel => {
-                // Normalized: 1000 for an outermost pardo regardless of
-                // depth (an un-normalized `n − p` metric lets the search
-                // game the score by deepening the nest with Block), small
-                // bonus for more parallel loops, small penalty for depth.
-                let n = nest.depth() as f64;
-                let first_pardo = nest.loops().iter().position(|l| l.kind.is_parallel());
-                let count = nest.loops().iter().filter(|l| l.kind.is_parallel()).count() as f64;
-                Some(match first_pardo {
-                    Some(p) => 1000.0 * (1.0 - p as f64 / n) + count / n - 0.5 * n,
-                    None => -0.5 * n,
-                })
-            }
-            Goal::InnerParallel => {
-                let n = nest.depth();
-                let innermost_parallel = nest.level(n - 1).kind.is_parallel();
-                let count = nest.loops().iter().filter(|l| l.kind.is_parallel()).count() as f64;
-                Some(
-                    if innermost_parallel { 1000.0 } else { 0.0 } + count / n as f64
-                        - 0.5 * n as f64,
-                )
-            }
+            Goal::OuterParallel | Goal::InnerParallel => self.score_kinds(&nest.kinds()),
             Goal::Locality(cfg) => {
                 let params: Vec<(&str, i64)> =
                     cfg.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
                 let r = simulate_nest_observed(nest, &params, &cfg.map, cfg.cache, tel).ok()?;
                 Some(-(r.stats.misses as f64))
             }
+        }
+    }
+
+    /// Scores a nest's loop kinds (outermost first) under a structural
+    /// goal, which reads nothing else of the nest: this is
+    /// [`Goal::score`] for [`Goal::OuterParallel`] and
+    /// [`Goal::InnerParallel`]. Returns `None` for [`Goal::Locality`],
+    /// whose score needs the whole nest.
+    pub(crate) fn score_kinds(&self, kinds: &[LoopKind]) -> Option<f64> {
+        let n = kinds.len();
+        let count = kinds.iter().filter(|k| k.is_parallel()).count() as f64;
+        match self {
+            Goal::OuterParallel => {
+                // Normalized: 1000 for an outermost pardo regardless of
+                // depth (an un-normalized `n − p` metric lets the search
+                // game the score by deepening the nest with Block), small
+                // bonus for more parallel loops, small penalty for depth.
+                let n = n as f64;
+                Some(match kinds.iter().position(|k| k.is_parallel()) {
+                    Some(p) => 1000.0 * (1.0 - p as f64 / n) + count / n - 0.5 * n,
+                    None => -0.5 * n,
+                })
+            }
+            Goal::InnerParallel => {
+                let innermost_parallel = kinds[n - 1].is_parallel();
+                Some(
+                    if innermost_parallel { 1000.0 } else { 0.0 } + count / n as f64
+                        - 0.5 * n as f64,
+                )
+            }
+            Goal::Locality(_) => None,
         }
     }
 }

@@ -27,6 +27,18 @@
 //! dedup keys on [`SeqState::shape_key`], the interned shape id when a
 //! shared cache is attached, and each shape depth's move list is built
 //! once per search and borrowed by every node of that depth.
+//!
+//! The last depth builds no child states. Its candidates are never
+//! extended, so each is decided by [`SeqState::admits`] (the verdict
+//! [`SeqState::extend`] would reach, without code generation) and scored
+//! without code: a structural goal reads the child's loop kinds from
+//! [`Template::output_kinds`], and a locality goal runs its trial on the
+//! parent's nest with the template applied. Only a leaf that beats the
+//! best so far gets its sequence and shape built. Leaves skip the shape
+//! dedup, which cannot change the answer: every shape that enters the
+//! dedup set is compared with the best when it enters, and equal shapes
+//! score equally (a locality trial nest is the shape plus the untouched
+//! body), so a repeated shape never beats the best.
 
 use crate::cancel::CancelToken;
 use crate::goal::Goal;
@@ -207,6 +219,9 @@ enum Outcome {
     LegalUnscored,
     /// Legal and scored.
     Legal(Node),
+    /// Legal and scored at the last depth, where no child state is
+    /// built: the score only.
+    Leaf(f64),
     /// The cancel token fired before this job was evaluated: not counted
     /// anywhere (the search is winding down).
     Cancelled,
@@ -227,35 +242,66 @@ struct EvalCtx<'a> {
     goal: &'a Goal,
     tel: &'a Telemetry,
     cancel: Option<&'a CancelToken>,
+    /// This is the search's last depth: its legal candidates are never
+    /// extended, so they are decided and scored without a child state.
+    leaf: bool,
 }
 
 fn evaluate(parent: &Node, template: &Template, ctx: EvalCtx<'_>) -> Outcome {
-    match parent.state.extend(template.clone()) {
-        Err(ExtendError::Sequence(_)) => Outcome::Rejected,
-        Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
-        Ok(child) => {
-            // `TransformSeq::apply` folds `apply_to` over the steps, so
-            // applying the new template to the parent's nest gives the
-            // child's nest exactly.
-            let (score, nest) = match ctx.goal {
-                Goal::Locality(_) => {
-                    let parent_nest = parent.nest.as_ref().expect("locality nodes carry a nest");
-                    match template.apply_to(parent_nest) {
-                        Ok(out) => (ctx.goal.score_observed(&out, ctx.tel), Some(Arc::new(out))),
-                        Err(_) => (None, None),
-                    }
-                }
-                _ => (ctx.goal.score(child.shape()), None),
-            };
-            match score {
-                None => Outcome::LegalUnscored,
-                Some(score) => Outcome::Legal(Node {
-                    state: child,
-                    score,
-                    nest,
-                }),
+    let child = if ctx.leaf {
+        parent.state.admits(template).map(|()| None)
+    } else {
+        parent.state.extend(template.clone()).map(Some)
+    };
+    let child = match child {
+        Err(ExtendError::Sequence(_)) => return Outcome::Rejected,
+        Err(ExtendError::Illegal(reason)) => return Outcome::Tested(reject_kind(&reason)),
+        Ok(child) => child,
+    };
+    let (score, nest) = match ctx.goal {
+        // `TransformSeq::apply` folds `apply_to` over the steps, so
+        // applying the new template to the parent's nest gives the
+        // child's nest exactly.
+        Goal::Locality(_) => {
+            let parent_nest = parent.nest.as_ref().expect("locality nodes carry a nest");
+            match template.apply_to(parent_nest) {
+                Ok(out) => (ctx.goal.score_observed(&out, ctx.tel), Some(out)),
+                Err(_) => (None, None),
             }
         }
+        // Structural goals read only the child's loop kinds, which the
+        // template gives without generating code.
+        _ => {
+            let kinds = template.output_kinds(&parent.state.shape().kinds());
+            (ctx.goal.score_kinds(&kinds), None)
+        }
+    };
+    match (score, child) {
+        (None, _) => Outcome::LegalUnscored,
+        (Some(score), None) => Outcome::Leaf(score),
+        (Some(score), Some(state)) => Outcome::Legal(Node {
+            state,
+            score,
+            nest: nest.map(Arc::new),
+        }),
+    }
+}
+
+/// The candidate a legal last-depth `template` on `parent` stands for,
+/// built only when it beats the best so far: its sequence, and its shape
+/// generated from the parent's.
+fn leaf_candidate(parent: &Node, template: &Template, score: f64) -> Candidate {
+    Candidate {
+        seq: parent
+            .state
+            .seq()
+            .clone()
+            .push(template.clone())
+            .expect("an admitted template chains"),
+        score,
+        shape: template
+            .apply_to(parent.state.shape())
+            .expect("an admitted template generates"),
     }
 }
 
@@ -384,6 +430,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             goal,
             tel,
             cancel: config.cancel.as_ref(),
+            leaf: depth + 1 == config.max_steps,
         };
         let expand_start = tel.is_enabled().then(Instant::now);
         let outcomes = expand(&frontier, &jobs, ctx, threads);
@@ -393,7 +440,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         let (mut n_arity, mut n_pre, mut n_codegen, mut n_lexneg) = (0u64, 0u64, 0u64, 0u64);
         let (mut n_unscored, mut n_legal, mut n_deduped) = (0u64, 0u64, 0u64);
         let mut next: Vec<Node> = Vec::new();
-        for outcome in outcomes {
+        for (outcome, &(si, t)) in outcomes.into_iter().zip(&jobs) {
             match outcome {
                 Outcome::Rejected => n_arity += 1,
                 Outcome::Tested(kind) => {
@@ -421,6 +468,17 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
                         best = node.candidate();
                     }
                     next.push(node);
+                }
+                // A leaf skips the shape dedup: a shape seen before was
+                // compared with `best` when it was first inserted, and
+                // equal shapes score equally, so it cannot beat `best`.
+                Outcome::Leaf(score) => {
+                    explored += 1;
+                    legal += 1;
+                    n_legal += 1;
+                    if score > best.score {
+                        best = leaf_candidate(&frontier[si], t, score);
+                    }
                 }
                 Outcome::Cancelled => timed_out = true,
             }
@@ -676,6 +734,30 @@ mod tests {
         assert_eq!(r.best.score.to_bits(), 0x408f_3c00_0000_0000);
     }
 
+    #[test]
+    fn best_found_at_the_last_depth_is_built_from_its_sequence() {
+        // Matmul's best two-step sequence is a leaf of a two-step search:
+        // it was decided and scored without a child state, and its shape
+        // was generated only once it beat the best so far.
+        let nest = parse_nest(MATMUL).unwrap();
+        let deps = analyze_dependences(&nest);
+        let base = SearchConfig {
+            max_steps: 2,
+            beam_width: 16,
+            ..SearchConfig::default()
+        };
+        let results = run_all_modes(&nest, &deps, &Goal::OuterParallel, &base);
+        assert_identical(&results);
+        let best = &results[0].best;
+        assert_eq!(best.seq.len(), base.max_steps, "{}", results[0]);
+        let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
+        assert_eq!(best.shape, best.seq.apply(&shape0).unwrap());
+        assert_eq!(
+            Some(best.score),
+            Goal::OuterParallel.score(&best.seq.apply(&nest).unwrap())
+        );
+    }
+
     /// What one `(frontier node, move)` evaluation decided, in a form
     /// both engines can produce.
     #[derive(Debug, PartialEq)]
@@ -690,16 +772,20 @@ mod tests {
         },
     }
 
-    fn verdict(outcome: Outcome) -> Verdict {
+    /// What `outcome` of `template` on `parent` decided. A leaf's
+    /// sequence and shape are the ones [`search`] would return for it.
+    fn verdict(outcome: Outcome, parent: &Node, template: &Template) -> Verdict {
+        let legal = |c: Candidate| Verdict::Legal {
+            seq: c.seq.to_string(),
+            shape: c.shape,
+            score_bits: c.score.to_bits(),
+        };
         match outcome {
             Outcome::Rejected => Verdict::Rejected,
             Outcome::Tested(kind) => Verdict::Tested(kind),
             Outcome::LegalUnscored => Verdict::LegalUnscored,
-            Outcome::Legal(node) => Verdict::Legal {
-                seq: node.state.seq().to_string(),
-                shape: node.state.shape().clone(),
-                score_bits: node.score.to_bits(),
-            },
+            Outcome::Legal(node) => legal(node.candidate()),
+            Outcome::Leaf(score) => legal(leaf_candidate(parent, template, score)),
             Outcome::Cancelled => unreachable!("no cancel token"),
         }
     }
@@ -739,10 +825,11 @@ mod tests {
         }
     }
 
-    /// Walks the search's frontier depth by depth (same dedup, ordering
-    /// and truncation as [`search`]) and checks every `(frontier node,
-    /// move)` pair against [`reference_evaluate`]. Returns the walk's
-    /// `(explored, legal)` totals.
+    /// Walks the search's frontier depth by depth (same dedup, ordering,
+    /// truncation and last-depth leaf evaluation as [`search`]) and
+    /// checks every `(frontier node, move)` pair against
+    /// [`reference_evaluate`]. Returns the walk's `(explored, legal)`
+    /// totals.
     fn check_every_pair_against_is_legal(
         nest: &LoopNest,
         goal: &Goal,
@@ -750,15 +837,16 @@ mod tests {
     ) -> (usize, usize) {
         let deps = analyze_dependences(nest);
         let tel = Telemetry::disabled();
-        let ctx = EvalCtx {
-            goal,
-            tel: &tel,
-            cancel: None,
-        };
         let mut frontier = vec![Node::root(SeqState::root(nest, &deps), nest, goal)];
         let (mut explored, mut legal) = (0, 0);
         let mut seen = HashSet::new();
-        for _ in 0..cfg.max_steps {
+        for depth in 0..cfg.max_steps {
+            let ctx = EvalCtx {
+                goal,
+                tel: &tel,
+                cancel: None,
+                leaf: depth + 1 == cfg.max_steps,
+            };
             let mut next = Vec::new();
             for node in &frontier {
                 for t in cfg.catalog.moves(node.state.shape().depth()) {
@@ -770,7 +858,7 @@ mod tests {
                             next.push(child.clone());
                         }
                     }
-                    let got = verdict(outcome);
+                    let got = verdict(outcome, node, &t);
                     assert_eq!(got, expected, "{} + {t}", node.state.seq());
                     explored += usize::from(got != Verdict::Rejected);
                     legal += usize::from(matches!(
@@ -897,13 +985,16 @@ mod tests {
         let deps = analyze_dependences(&nest);
         let root = Node::root(SeqState::root(&nest, &deps), &nest, &Goal::OuterParallel);
         let tel = Telemetry::disabled();
-        let ctx = EvalCtx {
-            goal: &Goal::OuterParallel,
-            tel: &tel,
-            cancel: None,
-        };
-        let outcome = evaluate(&root, &Template::parallelize(vec![true, false]), ctx);
-        assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
+        for leaf in [false, true] {
+            let ctx = EvalCtx {
+                goal: &Goal::OuterParallel,
+                tel: &tel,
+                cancel: None,
+                leaf,
+            };
+            let outcome = evaluate(&root, &Template::parallelize(vec![true, false]), ctx);
+            assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
+        }
     }
 
     #[test]

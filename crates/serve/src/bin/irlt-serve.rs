@@ -8,7 +8,7 @@
 //!     --retry-after-ms N     retry hint on backpressure rejections (default 10)
 //!     --default-deadline-ms N  SLO for requests that carry none
 //!     --cache-capacity N     shared-cache entries before a sweep
-//!     --cache-load PATH      warm-start from an irlt-cache/v2 snapshot
+//!     --cache-load PATH      warm-start from an irlt-cache/v3 snapshot
 //!     --snapshot PATH        rotate cache snapshots to PATH while serving
 //!     --snapshot-every N     rotate after every N finished requests (default 64)
 //!     --snapshot-keep N      rotated generations to keep (default 2)

@@ -20,7 +20,7 @@
 
 use crate::matrix::IntMatrix;
 use irlt_ir::{bound_linear_terms, BoundSide, Expr, LinearForm, LoopNest, Symbol};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A linear inequality `coeffs · vars + rest ≥ 0` over an ordered variable
@@ -190,6 +190,9 @@ impl IterSpace {
         let mut rebinds: Vec<(Symbol, Expr)> = Vec::new();
         // original variable -> expression over normalized names
         let mut subst: BTreeMap<Symbol, Expr> = BTreeMap::new();
+        // The nest's scalar symbols, collected on the first non-unit step
+        // and shared by every later one.
+        let mut taken: Option<BTreeSet<Symbol>> = None;
 
         for (k, l) in nest.loops().iter().enumerate() {
             let step = l
@@ -232,9 +235,8 @@ impl IterSpace {
                 let [origin_form] = &lower_terms[..] else {
                     return Err(FmError::CompositeOrigin { level: k });
                 };
-                let name = l
-                    .var
-                    .freshen(|s| names.contains(s) || nest.all_scalar_symbols().contains(s));
+                let taken = taken.get_or_insert_with(|| nest.all_scalar_symbols());
+                let name = l.var.freshen(|s| names.contains(s) || taken.contains(s));
                 names.push(name.clone());
                 // z_k ≥ 0.
                 let mut zpos = vec![0i64; n];
@@ -316,9 +318,20 @@ impl IterSpace {
     /// `new_names.len()` differs.
     pub fn change_basis(&self, m: &IntMatrix, new_names: Vec<Symbol>) -> IterSpace {
         let n = self.names.len();
-        assert_eq!(new_names.len(), n, "name count mismatch");
         assert!(m.is_square() && m.rows() == n, "matrix dimension mismatch");
         let minv = m.inverse().expect("matrix must be unimodular");
+        self.change_basis_by_inverse(&minv, new_names)
+    }
+
+    /// [`IterSpace::change_basis`] given `M⁻¹` instead of `M`, for a
+    /// caller that has already inverted the matrix.
+    pub(crate) fn change_basis_by_inverse(
+        &self,
+        minv: &IntMatrix,
+        new_names: Vec<Symbol>,
+    ) -> IterSpace {
+        let n = self.names.len();
+        assert_eq!(new_names.len(), n, "name count mismatch");
         let ineqs = self
             .ineqs
             .iter()

@@ -114,6 +114,14 @@ impl UnimodularTransform {
         }
     }
 
+    /// Wraps a matrix the caller has already validated (a
+    /// `Template::Unimodular` checks its matrix at construction), without
+    /// recomputing the determinant. Debug builds still check it.
+    pub fn from_validated(matrix: IntMatrix) -> UnimodularTransform {
+        debug_assert!(matrix.is_unimodular(), "matrix is not unimodular");
+        UnimodularTransform { matrix }
+    }
+
     /// The identity transformation on `n` loops.
     pub fn identity(n: usize) -> UnimodularTransform {
         UnimodularTransform {
@@ -206,7 +214,9 @@ impl UnimodularTransform {
             None => derive_names(&minv, &z_names, nest),
         };
 
-        let y_space = normalized.space.change_basis(&self.matrix, names.clone());
+        let y_space = normalized
+            .space
+            .change_basis_by_inverse(&minv, names.clone());
         let bounds = y_space.generate_bounds()?;
 
         let mut inits: Vec<Stmt> = Vec::new();

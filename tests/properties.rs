@@ -326,11 +326,24 @@ fn script_roundtrip() {
     );
 }
 
+/// The verdict of an extension attempt, for comparing `admits` with
+/// `extend`: `None` when legal, else the whole error (kind, step, error
+/// and witness).
+fn verdict_of<T>(r: &Result<T, ExtendError>) -> Option<String> {
+    r.as_ref().err().map(|e| format!("{e:?}"))
+}
+
 /// The incremental legality engine (`SeqState`) agrees with the
 /// from-scratch `TransformSeq::is_legal` path on every prefix of a random
 /// sequence grown extension-by-extension: same verdict at each step, and
 /// a cached set holding exactly the members (same length, same vectors)
 /// of the from-scratch mapped set after subsumption pruning.
+///
+/// The verdict-only `SeqState::admits` reports exactly what `extend`
+/// reports at every step: without a cache, and through a cache in both
+/// orders. `admits` then `extend` must leave an entry that answers
+/// `extend` probes (the `admits` entry was replaced), and `extend` then
+/// `admits` must answer `admits` from `extend`'s entry (a hit, no miss).
 #[test]
 fn incremental_matches_scratch() {
     check(
@@ -344,6 +357,10 @@ fn incremental_matches_scratch() {
         |(nest, seq)| {
             let deps = analyze_dependences(nest);
             let mut state = SeqState::root(nest, &deps);
+            let (admits_first, extend_first) =
+                (SharedLegalityCache::new(), SharedLegalityCache::new());
+            let mut a = SeqState::root(nest, &deps).with_shared(admits_first, 1);
+            let mut b = SeqState::root(nest, &deps).with_shared(extend_first.clone(), 1);
             let mut prefix = TransformSeq::new(nest.depth());
             for step in seq.steps() {
                 let irlt::core::Step::Builtin(t) = step else {
@@ -351,7 +368,30 @@ fn incremental_matches_scratch() {
                 };
                 prefix = prefix.push(t.clone()).expect("generated sequences chain");
                 let scratch = prefix.is_legal(nest, &deps);
-                match state.extend(t.clone()) {
+                let extended = state.extend(t.clone());
+                let want = verdict_of(&extended);
+                prop_assert_eq!(verdict_of(&state.admits(t)), want);
+                // Through a cache, `admits` first…
+                prop_assert_eq!(verdict_of(&a.admits(t)), want);
+                let a_next = a.extend(t.clone());
+                prop_assert_eq!(verdict_of(&a_next), want);
+                prop_assert_eq!(a.shared_probe(t), Some(true));
+                // …and `extend` first.
+                let b_next = b.extend(t.clone());
+                prop_assert_eq!(verdict_of(&b_next), want);
+                let before = extend_first.stats();
+                prop_assert_eq!(verdict_of(&b.admits(t)), want);
+                let after = extend_first.stats();
+                prop_assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+                if let (Ok(x), Ok(y), Ok(z)) = (&extended, &a_next, &b_next) {
+                    prop_assert_eq!(x.shape(), y.shape());
+                    prop_assert_eq!(x.shape(), z.shape());
+                    prop_assert_eq!(x.mapped_deps(), y.mapped_deps());
+                    prop_assert_eq!(x.mapped_deps(), z.mapped_deps());
+                    a = y.clone();
+                    b = z.clone();
+                }
+                match extended {
                     Ok(next) => {
                         prop_assert!(
                             scratch.is_legal(),
@@ -486,6 +526,76 @@ fn unimodular_codegen_fails_only_in_normalization() {
     assert!(checked > 2_000, "only {checked} checks");
     assert!(unnormalizable > 0, "no shape failed normalization");
     eprintln!("unimodular codegen invariant: {checked} checks, {unnormalizable} unnormalizable");
+}
+
+/// `Template::output_kinds` is the one definition of loop kinds: on every
+/// shape where a template generates code, the kinds it predicts from the
+/// input's kinds are the generated nest's kinds. The inputs are
+/// generated nests and every one-step `Parallelize`, `Block`, `Coalesce`
+/// and `Interleave` shape of them, so they contain `pardo` loops; the
+/// templates are every default catalog move plus an `Interleave` per
+/// range, which the catalog does not generate.
+#[test]
+fn output_kinds_match_generated_kinds() {
+    use irlt_harness::Rng;
+
+    let interleaves = |n: usize| -> Vec<Template> {
+        (0..n)
+            .flat_map(|i| (i..n).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                Template::interleave(n, i, j, vec![Expr::int(2); j - i + 1]).expect("interleave")
+            })
+            .collect()
+    };
+    let moves = |n: usize| -> Vec<Template> {
+        let mut all = MoveCatalog::default().moves(n);
+        all.extend(interleaves(n));
+        all
+    };
+    let mut rng = Rng::new(0x5eed_0022);
+    let (mut checked, mut parallel_outputs) = (0usize, 0usize);
+    for k in 0..30 {
+        let root = gen_nest(&mut rng, 1 + k % 3);
+        let mut shapes = vec![root.clone()];
+        for t in moves(root.depth())
+            .into_iter()
+            .chain([Template::parallelize(vec![true; root.depth()])])
+        {
+            let one_step = matches!(
+                t,
+                Template::Parallelize { .. }
+                    | Template::Block { .. }
+                    | Template::Coalesce { .. }
+                    | Template::Interleave { .. }
+            );
+            if let (true, Ok(out)) = (one_step, t.apply_to(&root)) {
+                shapes.push(out);
+            }
+        }
+        for shape in &shapes {
+            // A blocked 3-deep nest is 6 deep; Fourier–Motzkin over it is
+            // slow in a debug build and adds no kind rule.
+            if shape.depth() > 4 {
+                continue;
+            }
+            for t in moves(shape.depth()) {
+                if let Ok(out) = t.apply_to(shape) {
+                    checked += 1;
+                    parallel_outputs += usize::from(out.kinds().iter().any(|k| k.is_parallel()));
+                    assert_eq!(
+                        t.output_kinds(&shape.kinds()),
+                        out.kinds(),
+                        "{t} on\n{shape}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 2_000 && parallel_outputs > 500,
+        "{checked} checks, {parallel_outputs} with pardo loops"
+    );
+    eprintln!("output kinds: {checked} checks, {parallel_outputs} with pardo loops");
 }
 
 /// The driver's cross-nest [`SharedLegalityCache`] is invisible to
@@ -935,7 +1045,7 @@ fn shard_counts_are_invisible_on_random_chains() {
 }
 
 /// PR 8 tentpole: snapshot persistence is invisible to results. A cache
-/// warmed from another cache's `irlt-cache/v2` snapshot replays random
+/// warmed from another cache's `irlt-cache/v3` snapshot replays random
 /// chains identically to a fresh uncached chain, serving them from
 /// snapshot-owned entries (`snapshot_hits`) without recomputing.
 #[test]
