@@ -8,7 +8,7 @@
 //! cheap ("supporting arbitrary levels of search and undo").
 
 use irlt_bench::{figure7_sequence, matmul, random_deps, rectangular, unimodular_chain};
-use irlt_core::SeqState;
+use irlt_core::{SeqState, SharedLegalityCache};
 use irlt_dependence::analyze_dependences;
 use irlt_harness::timing::{black_box, Runner};
 use irlt_opt::MoveCatalog;
@@ -58,10 +58,7 @@ fn extend_root_moves(r: &mut Runner) {
         let moves = catalog.moves(depth);
         r.bench(&format!("legality/extend/{depth}"), || {
             let root = SeqState::root(black_box(&nest), black_box(&deps));
-            let legal = moves
-                .iter()
-                .filter(|t| root.extend((*t).clone()).is_ok())
-                .count();
+            let legal = moves.iter().filter(|t| root.extend(*t).is_ok()).count();
             black_box(legal)
         });
         r.bench(&format!("legality/admits/{depth}"), || {
@@ -70,6 +67,43 @@ fn extend_root_moves(r: &mut Runner) {
             black_box(legal)
         });
     }
+}
+
+/// The shared-cache probe on its own, as the search makes it: a root
+/// `SeqState` over `rectangular(3)` attached to a cache that already
+/// holds an entry for every `MoveCatalog::default()` move at depth 3,
+/// probed with those moves keyed once. `legality/probe/hit` makes
+/// `PROBE_ROUNDS` passes over the list on one thread; `hit_t2` makes
+/// them on each of two scoped threads sharing the cache, so its excess
+/// over `hit` is the cost of two workers on one cache (stripe contention
+/// plus the thread spawns).
+fn probe_warm_cache(r: &mut Runner) {
+    const PROBE_ROUNDS: usize = 16;
+    let nest = rectangular(3);
+    let deps = random_deps(3, 8, 42);
+    let cache = SharedLegalityCache::new();
+    let root = SeqState::root(&nest, &deps).with_shared(cache, 0);
+    let moves = root.key_moves(MoveCatalog::default().moves(3));
+    for mv in &moves {
+        let _ = root.extend(mv);
+    }
+    let probe_all = || {
+        let mut hits = 0usize;
+        for _ in 0..PROBE_ROUNDS {
+            for mv in &moves {
+                hits += usize::from(root.shared_probe(black_box(mv)) == Some(true));
+            }
+        }
+        assert_eq!(hits, PROBE_ROUNDS * moves.len(), "every probe hits");
+        hits
+    };
+    r.bench("legality/probe/hit", probe_all);
+    r.bench("legality/probe/hit_t2", || {
+        std::thread::scope(|s| {
+            let other = s.spawn(probe_all);
+            probe_all() + other.join().expect("probe thread panicked")
+        })
+    });
 }
 
 fn dependence_analysis(r: &mut Runner) {
@@ -93,6 +127,7 @@ fn main() {
     legality_vs_depset_size(&mut r);
     legality_figure7(&mut r);
     extend_root_moves(&mut r);
+    probe_warm_cache(&mut r);
     dependence_analysis(&mut r);
     r.finish();
 }

@@ -27,7 +27,7 @@
 //!
 //! CI runs one step per baseline: `search/` against `BENCH_15.json`,
 //! `locality/` against `BENCH_19_locality.json`, `driver/` against
-//! `BENCH_17_driver.json`, `legality/` against `BENCH_22_legality.json`
+//! `BENCH_17_driver.json`, `legality/` against `BENCH_23_legality.json`
 //! and `depmap/` against `BENCH_16_depmap.json`. Each baseline records
 //! every row its bench prints, so each row is checked exactly once. Rows
 //! a baseline does not record are skipped.

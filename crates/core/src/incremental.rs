@@ -87,13 +87,49 @@
 
 use crate::codegen::{unimodular_normalization, ApplyError};
 use crate::sequence::{IllegalReason, SequenceError, TransformSeq};
-use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey, TemplateKey};
+use crate::shared::{
+    CachedOutcome, KeyedMove, MoveKey, SharedLegalityCache, StateKey, TemplateKey,
+};
 use crate::template::Template;
 use irlt_dependence::{DepSet, Fingerprint128 as _};
 use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+
+/// A candidate step for [`SeqState::extend`] and [`SeqState::admits`]:
+/// a built-in template, plus the template id a [`SharedLegalityCache`]
+/// issued for it, if any.
+///
+/// A bare [`Template`] has no key, and a state with a cache interns it on
+/// every probe. A [`KeyedMove`] from the state's own cache skips that.
+/// Both give the same verdict, shape and mapped set.
+pub trait Move {
+    /// The template this move instantiates.
+    fn template(&self) -> &Template;
+    /// The key a cache issued for the template, if any.
+    fn key(&self) -> Option<MoveKey>;
+}
+
+impl Move for Template {
+    fn template(&self) -> &Template {
+        self
+    }
+
+    fn key(&self) -> Option<MoveKey> {
+        None
+    }
+}
+
+impl<M: Move + ?Sized> Move for &M {
+    fn template(&self) -> &Template {
+        (**self).template()
+    }
+
+    fn key(&self) -> Option<MoveKey> {
+        (**self).key()
+    }
+}
 
 /// Cached legality state of one legal sequence prefix: the sequence, the
 /// shape it produces, and the dependence set mapped through it.
@@ -111,11 +147,11 @@ use std::sync::{Arc, OnceLock};
 /// let deps = DepSet::from_distances(&[&[1, 0]]);
 /// let root = SeqState::root(&nest, &deps);
 /// // j carries nothing: parallelizing it is a legal extension…
-/// let s = root.extend(Template::parallelize(vec![false, true]))?;
+/// let s = root.extend(&Template::parallelize(vec![false, true]))?;
 /// assert_eq!(s.seq().len(), 1);
 /// assert!(s.shape().level(1).kind.is_parallel());
 /// // …while parallelizing i is rejected with the witness.
-/// assert!(root.extend(Template::parallelize(vec![true, false])).is_err());
+/// assert!(root.extend(&Template::parallelize(vec![true, false])).is_err());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -259,24 +295,36 @@ impl SeqState {
         (self.seq, shape, mapped)
     }
 
+    /// Keys a move list: with a cache attached, interns every template
+    /// under one pool lock and stamps each move with its id and the
+    /// cache's identity; without one the moves carry no key. Every state
+    /// derived from this one shares its cache, so one list serves a whole
+    /// search depth.
+    pub fn key_moves(&self, templates: Vec<Template>) -> Vec<KeyedMove> {
+        match &self.shared {
+            Some(cache) => cache.key_moves(templates),
+            None => templates.into_iter().map(KeyedMove::unkeyed).collect(),
+        }
+    }
+
     /// Performs exactly the shared-cache probe the extension hot path
-    /// performs — key construction plus map lookup — without extending.
+    /// performs — template key plus map lookup — without extending.
     /// Returns `None` when no shared cache is attached, otherwise whether
-    /// the `(state, template)` pair is resident.
+    /// the `(state, move)` pair is resident for an `extend`.
     ///
-    /// Exists so the allocation-counting test can measure the probe path
-    /// in isolation; not part of the supported API.
+    /// Exists so the allocation-counting test and the legality bench can
+    /// measure the probe path in isolation; not part of the supported API.
     #[doc(hidden)]
-    pub fn shared_probe(&self, template: &Template) -> Option<bool> {
+    pub fn shared_probe<M: Move + ?Sized>(&self, mv: &M) -> Option<bool> {
         let cache = self.shared.as_ref()?;
         let skey = self.skey?;
-        let tkey = cache.template_key(template);
+        let tkey = cache.template_key(mv.template(), mv.key());
         Some(cache.lookup(skey, tkey, self.owner, true).is_some())
     }
 
-    /// Extends the prefix by one built-in template instantiation,
-    /// revalidating **only the new step**, in this order: its size
-    /// chaining, its loop-bounds preconditions on the cached shape (plus,
+    /// Extends the prefix by one built-in template instantiation (a
+    /// [`Move`]), revalidating **only the new step**, in this order: its
+    /// size chaining, its loop-bounds preconditions on the cached shape (plus,
     /// for `Unimodular`, whether that shape normalizes), the fail-fast
     /// dependence mapping of the cached set, and last its bounds mapping
     /// (see the module docs for why this order reports exactly what
@@ -288,8 +336,9 @@ impl SeqState {
     /// candidate never reaches the legality test);
     /// [`ExtendError::Illegal`] with the same [`IllegalReason`] taxonomy
     /// as [`TransformSeq::is_legal`] otherwise.
-    pub fn extend(&self, template: Template) -> Result<SeqState, ExtendError> {
-        let (mapped, probe) = match self.decide(&template, true)? {
+    pub fn extend<M: Move + ?Sized>(&self, mv: &M) -> Result<SeqState, ExtendError> {
+        let template = mv.template();
+        let (mapped, probe) = match self.decide(template, mv.key(), true)? {
             Admission::Replayed { shape, mapped, key } => {
                 return Ok(self.child(template, shape, mapped, Some(key)));
             }
@@ -353,8 +402,8 @@ impl SeqState {
     /// # Errors
     ///
     /// As [`SeqState::extend`].
-    pub fn admits(&self, template: &Template) -> Result<(), ExtendError> {
-        let probe = match self.decide(template, false)? {
+    pub fn admits<M: Move + ?Sized>(&self, mv: &M) -> Result<(), ExtendError> {
+        let probe = match self.decide(mv.template(), mv.key(), false)? {
             Admission::Decided { probe, .. } => probe,
             Admission::Replayed { .. } | Admission::Admitted => None,
         };
@@ -368,9 +417,15 @@ impl SeqState {
     /// [`SeqState::admits`] share: chaining, the cache probe, the
     /// preconditions, the `Unimodular` normalization check and the
     /// fail-fast dependence mapping, in that order. Every rejection is
-    /// counted and deposited here. `need_child` marks an `extend` probe,
-    /// which an `Admitted` entry cannot answer.
-    fn decide(&self, template: &Template, need_child: bool) -> Result<Admission, ExtendError> {
+    /// counted and deposited here. `issued` is the move's key, if any;
+    /// `need_child` marks an `extend` probe, which an `Admitted` entry
+    /// cannot answer.
+    fn decide(
+        &self,
+        template: &Template,
+        issued: Option<MoveKey>,
+        need_child: bool,
+    ) -> Result<Admission, ExtendError> {
         let tel = &self.telemetry;
         let k = self.seq.len();
         self.seq
@@ -389,13 +444,16 @@ impl SeqState {
         // Cross-nest replay: the extension outcome is a pure function of
         // the (shape, mapped, template) key, so a deposited entry — from
         // this job or any other — substitutes for the whole
-        // precondition/mapping/codegen pipeline below. The template key is
-        // computed once here and reused by the lookup and any deposit; the
-        // state key was computed when this state was created. Nothing on
-        // this path renders a string, and nothing here counts the probe:
-        // the cache does, and the pool publishes those counters once.
+        // precondition/mapping/codegen pipeline below. The state key was
+        // computed when this state was created. The template key comes
+        // with the move when this state's cache issued it (the search
+        // keys each depth's move list once), so such a probe takes no
+        // interner lock; any other move is interned here. Either key is
+        // reused by the lookup and any deposit. Nothing on this path
+        // renders a string, and nothing here counts the probe: the cache
+        // does, and the pool publishes those counters once.
         let probe = match (&self.shared, self.skey) {
-            (Some(cache), Some(skey)) => Some((skey, cache.template_key(template))),
+            (Some(cache), Some(skey)) => Some((skey, cache.template_key(template, issued))),
             _ => None,
         };
         if let (Some(cache), Some((skey, tkey))) = (&self.shared, probe) {
@@ -457,10 +515,11 @@ impl SeqState {
     }
 
     /// The state this one becomes after `template`, given the child's
-    /// shape, mapped set and (with a cache) state key.
+    /// shape, mapped set and (with a cache) state key. The only place an
+    /// extension clones its template.
     fn child(
         &self,
-        template: Template,
+        template: &Template,
         shape: Arc<LoopNest>,
         mapped: Arc<DepSet>,
         skey: Option<StateKey>,
@@ -469,7 +528,7 @@ impl SeqState {
             seq: self
                 .seq
                 .clone()
-                .push(template)
+                .push(template.clone())
                 .expect("decide checked the chaining"),
             shape,
             mapped,
@@ -580,7 +639,7 @@ mod tests {
         for t in templates {
             let scratch_seq = state.seq().clone().push(t.clone()).unwrap();
             let scratch = scratch_seq.is_legal(nest, deps);
-            match state.extend(t) {
+            match state.extend(&t) {
                 Ok(next) => {
                     assert!(scratch.is_legal(), "incremental accepted, scratch rejected");
                     let oracle = scratch_seq.map_deps(deps).prune_subsumed();
@@ -637,7 +696,7 @@ mod tests {
         let deps = DepSet::from_distances(&[&[1, -1]]);
         let root = SeqState::root(&nest, &deps);
         let swap = Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap();
-        match root.extend(swap) {
+        match root.extend(&swap) {
             Err(ExtendError::Illegal(IllegalReason::Dependences { witnesses })) => {
                 assert_eq!(witnesses.len(), 1);
                 assert!(witnesses[0].can_be_lex_negative());
@@ -680,7 +739,7 @@ mod tests {
                     .push(t.clone())
                     .unwrap()
                     .is_legal(&nest, &deps);
-                let got = root.extend(t.clone()).unwrap_err();
+                let got = root.extend(t).unwrap_err();
                 assert_eq!(
                     format!("{:?}", root.admits(t).unwrap_err()),
                     format!("{got:?}")
@@ -728,9 +787,9 @@ mod tests {
         assert_eq!(r.counter("legality/prune/calls"), 0);
         // The skew's entry answers `admits`, not `extend`.
         assert_eq!(root.shared_probe(&skew), Some(false));
-        let child = root.extend(skew.clone()).unwrap();
+        let child = root.extend(&skew).unwrap();
         assert_eq!(root.shared_probe(&skew), Some(true));
-        assert_eq!(child.shape(), root.extend(skew).unwrap().shape());
+        assert_eq!(child.shape(), root.extend(&skew).unwrap().shape());
         assert_eq!(tel.report().counter("legality/prune/calls"), 1);
     }
 
@@ -739,7 +798,7 @@ mod tests {
         let (nest, deps) = stencil();
         let root = SeqState::root(&nest, &deps);
         let err = root
-            .extend(Template::parallelize(vec![true; 3]))
+            .extend(&Template::parallelize(vec![true; 3]))
             .unwrap_err();
         assert!(!err.is_illegal());
         assert!(err.to_string().contains("3-deep"));
@@ -754,10 +813,10 @@ mod tests {
         let nest = parse_nest("do i = 1, n\n do j = 1, i\n  a(i, j) = 0\n enddo\nenddo").unwrap();
         let root = SeqState::root(&nest, &DepSet::new());
         let s = root
-            .extend(Template::parallelize(vec![false, false]))
+            .extend(&Template::parallelize(vec![false, false]))
             .unwrap();
         let swap = Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap();
-        match s.extend(swap) {
+        match s.extend(&swap) {
             Err(ExtendError::Illegal(IllegalReason::Precondition { step, .. })) => {
                 assert_eq!(step, 1)
             }
@@ -784,7 +843,7 @@ mod tests {
         let skew = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
         for t in [skew, swap] {
             let seq = TransformSeq::new(2).push(t.clone()).unwrap();
-            let extended = root.extend(t);
+            let extended = root.extend(&t);
             assert_eq!(extended.is_ok(), seq.is_legal(&nest, &deps).is_legal());
             if let Ok(s) = extended {
                 let oracle = seq.map_deps(&deps).prune_subsumed();
@@ -800,17 +859,17 @@ mod tests {
         let root = SeqState::root(&nest, &deps).with_telemetry(tel.clone());
         // Legal chain of two steps: skew then interchange.
         let s1 = root
-            .extend(Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap())
+            .extend(&Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap())
             .unwrap();
         let s2 = s1
-            .extend(Template::unimodular(IntMatrix::interchange(2, 0, 1)).unwrap())
+            .extend(&Template::unimodular(IntMatrix::interchange(2, 0, 1)).unwrap())
             .unwrap();
         // A dependence-illegal extension from the root (both loops carried).
         assert!(root
-            .extend(Template::parallelize(vec![true, true]))
+            .extend(&Template::parallelize(vec![true, true]))
             .is_err());
         // An arity mismatch: never reaches the legality test or counters.
-        assert!(s2.extend(Template::parallelize(vec![true; 3])).is_err());
+        assert!(s2.extend(&Template::parallelize(vec![true; 3])).is_err());
         let r = tel.report();
         assert_eq!(r.counter("legality/extensions"), 3);
         // Only the extension of a non-root prefix is a cache hit.
@@ -827,7 +886,7 @@ mod tests {
             r.histograms
         );
         // The handle is inherited: s2 still records into the same sink.
-        assert!(s2.extend(Template::parallelize(vec![false, true])).is_ok());
+        assert!(s2.extend(&Template::parallelize(vec![false, true])).is_ok());
         assert_eq!(tel.report().counter("legality/extensions"), 4);
     }
 
@@ -838,8 +897,8 @@ mod tests {
         let plain = SeqState::root(&nest, &deps);
         let observed = SeqState::root(&nest, &deps).with_telemetry(tel.clone());
         let t = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
-        let a = plain.extend(t.clone()).unwrap();
-        let b = observed.extend(t).unwrap();
+        let a = plain.extend(&t).unwrap();
+        let b = observed.extend(&t).unwrap();
         assert_eq!(a.mapped_deps(), b.mapped_deps());
         assert_eq!(a.shape(), b.shape());
         assert_eq!(a.seq().to_string(), b.seq().to_string());
@@ -858,20 +917,92 @@ mod tests {
             SeqState::root(&nest, &deps),
             SeqState::root(&nest, &deps).with_shared(cache.clone(), 0),
         ] {
-            let skewed = root.extend(skew.clone()).unwrap();
+            let skewed = root.extend(&skew).unwrap();
             // Reaching the same shape again gives the same key…
-            assert_eq!(
-                skewed.shape_key(),
-                root.extend(skew.clone()).unwrap().shape_key()
-            );
+            assert_eq!(skewed.shape_key(), root.extend(&skew).unwrap().shape_key());
             // …a different shape a different one.
             assert_ne!(skewed.shape_key(), root.shape_key());
-            let swapped = root.extend(swap.clone()).unwrap();
+            let swapped = root.extend(&swap).unwrap();
             assert_ne!(swapped.shape_key(), skewed.shape_key());
         }
         // Without a cache the key is the shape's structural fingerprint.
         let plain = SeqState::root(&nest, &deps);
         assert_eq!(plain.shape_key(), plain.shape().fingerprint128());
+    }
+
+    /// The verdict, shape and mapped set an extension reaches, for
+    /// comparing two ways of extending.
+    fn outcome(r: Result<SeqState, ExtendError>) -> Result<(LoopNest, DepSet), String> {
+        r.map(|s| (s.shape().clone(), s.mapped_deps().clone()))
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    /// A key is an id in its own cache's pool only. Cache `a` gives id 0
+    /// to the skew and cache `b` to the parallelization, and `b` holds
+    /// entries for both, so a move keyed by `a` that `b` read by its id
+    /// would replay the other template's outcome. It must instead
+    /// extend exactly as the bare template does.
+    #[test]
+    fn moves_keyed_by_another_cache_extend_as_unkeyed() {
+        let (nest, deps) = stencil();
+        let skew = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
+        let par = Template::parallelize(vec![true, false]);
+        let (a, b) = (SharedLegalityCache::new(), SharedLegalityCache::new());
+        let from_a = a.key_moves(vec![skew.clone(), par.clone()]);
+        let from_b = b.key_moves(vec![par.clone(), skew.clone()]);
+        assert_eq!(from_a[0].key().map(|k| k.template), Some(TemplateKey(0)));
+        assert_eq!(from_b[0].key().map(|k| k.template), Some(TemplateKey(0)));
+        let plain = SeqState::root(&nest, &deps);
+        let on_b = SeqState::root(&nest, &deps).with_shared(b.clone(), 0);
+        // Deposit both outcomes in `b`: the skew is legal, parallelizing
+        // the carried outer loop is not.
+        assert!(on_b.extend(&from_b[1]).is_ok());
+        assert!(on_b.extend(&from_b[0]).is_err());
+        for (mv, bare) in from_a.iter().zip([&skew, &par]) {
+            let want = outcome(plain.extend(bare));
+            assert_eq!(outcome(on_b.extend(mv)), want, "{bare}");
+            assert_eq!(outcome(on_b.extend(bare)), want, "{bare}");
+            assert_eq!(
+                format!("{:?}", on_b.admits(mv)),
+                format!("{:?}", plain.admits(bare)),
+                "{bare}"
+            );
+        }
+    }
+
+    /// A move keyed by the state's own cache reaches the same outcome as
+    /// the bare template, and probing it takes nothing from the pools.
+    #[test]
+    fn own_keyed_moves_skip_the_interner() {
+        let (nest, deps) = stencil();
+        let cache = SharedLegalityCache::new();
+        let root = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
+        let templates = vec![
+            Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap(),
+            Template::parallelize(vec![true, false]),
+        ];
+        let keyed = root.key_moves(templates.clone());
+        let plain = SeqState::root(&nest, &deps);
+        for (mv, bare) in keyed.iter().zip(&templates) {
+            assert_eq!(outcome(root.extend(mv)), outcome(plain.extend(bare)));
+        }
+        let pools = |c: &SharedLegalityCache| {
+            let s = c.stats();
+            (s.interned_values, s.interner_hits, s.interner_verifies)
+        };
+        let before = pools(&cache);
+        for mv in &keyed {
+            assert!(root.shared_probe(mv).unwrap());
+            assert!(root.admits(mv).is_ok() == (mv.template() == &templates[0]));
+        }
+        assert_eq!(pools(&cache), before);
+        // A bare template pays one pool lookup per probe.
+        for bare in &templates {
+            assert!(root.shared_probe(bare).unwrap());
+        }
+        assert_eq!(cache.stats().interner_hits, before.1 + 2);
+        // Without a cache the moves carry no key.
+        assert!(plain.key_moves(templates).iter().all(|m| m.key().is_none()));
     }
 
     #[test]
@@ -881,7 +1012,7 @@ mod tests {
         // `parmap` leaves (1, 0) unchanged.
         let deps = DepSet::from_distances(&[&[1, 0]]);
         let s = SeqState::root(&nest, &deps)
-            .extend(Template::parallelize(vec![false, true]))
+            .extend(&Template::parallelize(vec![false, true]))
             .unwrap();
         let (seq, shape, mapped) = s.into_parts();
         assert_eq!(seq.len(), 1);

@@ -70,7 +70,7 @@ mod template;
 pub use bounds::{BoundsMatrices, MatrixEntry};
 pub use codegen::ApplyError;
 pub use depmap::{blockmap, imap, mergedirs, parmap};
-pub use incremental::{ExtendError, SeqState};
+pub use incremental::{ExtendError, Move, SeqState};
 pub use oracle::{
     compare_domain, cross_check, record_outcome, CompareDomain, CrossCheckOutcome, OracleVerdict,
 };
@@ -80,7 +80,7 @@ pub use sequence::{
     init_prefix, IllegalReason, KernelTemplate, LegalityReport, SeqApplyError, SequenceError, Step,
     TransformSeq,
 };
-pub use shared::{KeyMode, ShardStats, SharedCacheStats, SharedLegalityCache};
+pub use shared::{KeyMode, KeyedMove, MoveKey, ShardStats, SharedCacheStats, SharedLegalityCache};
 pub use snapshot::{
     generation_path, SnapshotError, SnapshotLoadStats, SnapshotSaveError, SnapshotWriteStats,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

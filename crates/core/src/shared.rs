@@ -32,6 +32,14 @@
 //! the probe path; interning happens once per *state* (not per probe),
 //! and cross-nest hits share one `Arc` per distinct shape and mapped set.
 //!
+//! A template is interned once per *move list*, not per probe:
+//! [`SeqState::key_moves`](crate::SeqState::key_moves) turns a list of
+//! templates into [`KeyedMove`]s under one pool lock, and each keyed move
+//! carries its template id plus the process-unique id of the cache that
+//! issued it. A probe with such a move reads the id and never touches the
+//! pools. A bare [`Template`], or a move keyed by another cache, is
+//! interned on the probe instead; both paths reach the same exact id.
+//!
 //! # Sharding
 //!
 //! The memo table is split into `N` lock-striped shards (`N` a power of
@@ -82,6 +90,7 @@
 //!
 //! [`SeqState`]: crate::SeqState
 
+use crate::incremental::Move;
 use crate::sequence::IllegalReason;
 use crate::template::Template;
 use irlt_dependence::{fp128, DepSet, Interner, InternerStats};
@@ -118,6 +127,50 @@ pub(crate) struct StateKey {
 /// A template's interned id (exact: equal ids ⟺ equal templates).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct TemplateKey(pub(crate) u32);
+
+/// Source of the process-unique [`SharedLegalityCache`] ids that
+/// [`MoveKey`]s carry. A counter, not an address: a dropped cache's
+/// address can be reused by a new one, its id cannot.
+static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A template id together with the identity of the cache whose pool
+/// issued it. The id means nothing to any other cache, so a probe uses
+/// it only when the cache ids match.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MoveKey {
+    pub(crate) cache: u64,
+    pub(crate) template: TemplateKey,
+}
+
+/// A candidate step whose template was interned once, when its move list
+/// was built ([`SeqState::key_moves`](crate::SeqState::key_moves)), so
+/// probing it costs no interner lock. A move built without a cache
+/// carries no key.
+#[derive(Clone, Debug)]
+pub struct KeyedMove {
+    template: Template,
+    key: Option<MoveKey>,
+}
+
+impl KeyedMove {
+    /// A move with no key: every probe interns its template.
+    pub(crate) fn unkeyed(template: Template) -> KeyedMove {
+        KeyedMove {
+            template,
+            key: None,
+        }
+    }
+}
+
+impl Move for KeyedMove {
+    fn template(&self) -> &Template {
+        &self.template
+    }
+
+    fn key(&self) -> Option<MoveKey> {
+        self.key
+    }
+}
 
 /// The composite map key: state key × template key, flattened into a few
 /// `Copy` words with derived `Hash`, so building one never allocates.
@@ -179,14 +232,16 @@ pub struct SharedCacheStats {
     pub evictions: u64,
     /// Entries currently resident, summed over shards.
     pub entries: u64,
-    /// Map probes (`hits + misses`, tracked separately so the key-path
-    /// cost is directly observable; `irlt_driver::publish_cache_telemetry`
-    /// reports it as `legality/key/probes`).
+    /// Map probes: `hits + misses`, since every lookup counts exactly one
+    /// of the two (`irlt_driver::publish_cache_telemetry` reports it as
+    /// `legality/key/probes`).
     pub key_probes: u64,
     /// Distinct values resident across the three interner pools
     /// (shapes + mapped sets + templates).
     pub interned_values: u64,
     /// Interning requests answered by an existing entry (storage shared).
+    /// Templates are interned once per keyed move list, so probes with
+    /// keyed moves add nothing here.
     pub interner_hits: u64,
     /// Exact-equality comparisons run on fingerprint-bucket candidates.
     pub interner_verifies: u64,
@@ -347,6 +402,9 @@ impl Shard {
 }
 
 struct Inner {
+    /// Process-unique identity, stamped into every [`MoveKey`] this
+    /// cache issues.
+    id: u64,
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; shard index is `fp128(key) & mask`.
     shard_mask: u128,
@@ -356,7 +414,6 @@ struct Inner {
     capacity: usize,
     cross_hits: AtomicU64,
     inserts: AtomicU64,
-    key_probes: AtomicU64,
     snapshot_entries: AtomicU64,
     snapshot_hits: AtomicU64,
 }
@@ -396,8 +453,8 @@ pub(crate) struct Entry {
 /// // Job 0 computes and deposits; job 1 replays.
 /// let a = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
 /// let b = SeqState::root(&nest, &deps).with_shared(cache.clone(), 1);
-/// let x = a.extend(t.clone())?;
-/// let y = b.extend(t)?;
+/// let x = a.extend(&t)?;
+/// let y = b.extend(&t)?;
 /// assert_eq!(x.mapped_deps(), y.mapped_deps());
 /// let stats = cache.stats();
 /// assert_eq!((stats.hits, stats.cross_hits, stats.misses), (1, 1, 1));
@@ -473,6 +530,7 @@ impl SharedLegalityCache {
         let shard_capacity = (capacity / shards).max(1);
         SharedLegalityCache {
             inner: Arc::new(Inner {
+                id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
                 shards: (0..shards).map(|_| Shard::new()).collect(),
                 shard_mask: (shards - 1) as u128,
                 shard_capacity,
@@ -480,7 +538,6 @@ impl SharedLegalityCache {
                 capacity,
                 cross_hits: AtomicU64::new(0),
                 inserts: AtomicU64::new(0),
-                key_probes: AtomicU64::new(0),
                 snapshot_entries: AtomicU64::new(0),
                 snapshot_hits: AtomicU64::new(0),
             }),
@@ -531,13 +588,35 @@ impl SharedLegalityCache {
         )
     }
 
-    /// Computes a template's key (its interned id). Called once per
-    /// extension, shared by the lookup and any subsequent insert.
-    pub(crate) fn template_key(&self, template: &Template) -> TemplateKey {
-        // `intern_ref` clones only on first sight of a template; re-probes
-        // of a known template allocate nothing.
+    /// Keys a move list: interns every template under one pool lock and
+    /// stamps each with its id and this cache's identity. A search keys
+    /// each depth's list once; its probes then read the ids lock-free.
+    pub(crate) fn key_moves(&self, templates: Vec<Template>) -> Vec<KeyedMove> {
         let mut pools = self.lock_pools();
-        TemplateKey(pools.templates.intern_ref(template).id)
+        templates
+            .into_iter()
+            .map(|template| {
+                let id = TemplateKey(pools.templates.intern_ref(&template).id);
+                KeyedMove {
+                    template,
+                    key: Some(MoveKey {
+                        cache: self.inner.id,
+                        template: id,
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    /// A template's key (its interned id), shared by the lookup and any
+    /// subsequent insert of one extension. A key this cache issued is
+    /// read as is; without one (or with another cache's) the template is
+    /// interned here, which clones it only on first sight.
+    pub(crate) fn template_key(&self, template: &Template, issued: Option<MoveKey>) -> TemplateKey {
+        match issued {
+            Some(key) if key.cache == self.inner.id => key.template,
+            _ => TemplateKey(self.lock_pools().templates.intern_ref(template).id),
+        }
     }
 
     /// Looks up `(state, template)`, counting a hit (and a cross-job hit
@@ -558,7 +637,6 @@ impl SharedLegalityCache {
         owner: u64,
         need_child: bool,
     ) -> Option<CachedOutcome> {
-        self.inner.key_probes.fetch_add(1, Ordering::Relaxed);
         let probe = ProbeKey::new(state, template);
         let shard = self.shard_for(probe);
         let map = shard.lock();
@@ -663,7 +741,7 @@ impl SharedLegalityCache {
             inserts: self.inner.inserts.load(Ordering::Relaxed),
             evictions,
             entries,
-            key_probes: self.inner.key_probes.load(Ordering::Relaxed),
+            key_probes: hits + misses,
             interned_values,
             interner_hits,
             interner_verifies,
@@ -734,9 +812,9 @@ mod tests {
         let shared = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
         let replayed = SeqState::root(&nest, &deps).with_shared(cache.clone(), 1);
         let t = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
-        let a = plain.extend(t.clone()).unwrap();
-        let b = shared.extend(t.clone()).unwrap();
-        let c = replayed.extend(t).unwrap();
+        let a = plain.extend(&t).unwrap();
+        let b = shared.extend(&t).unwrap();
+        let c = replayed.extend(&t).unwrap();
         for s in [&b, &c] {
             assert_eq!(s.mapped_deps(), a.mapped_deps());
             assert_eq!(s.shape(), a.shape());
@@ -759,18 +837,18 @@ mod tests {
         let swap = Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap();
         // Deposit the rejection from a root-level extension…
         let root = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
-        let e0 = root.extend(swap.clone()).unwrap_err();
+        let e0 = root.extend(&swap).unwrap_err();
         // …then replay it one step deeper in a different job: the reason
         // must match what recomputation reports at that depth.
         let deep = SeqState::root(&nest, &deps)
             .with_shared(cache.clone(), 1)
-            .extend(Template::parallelize(vec![false, false]))
+            .extend(&Template::parallelize(vec![false, false]))
             .unwrap();
         let fresh = SeqState::root(&nest, &deps)
-            .extend(Template::parallelize(vec![false, false]))
+            .extend(&Template::parallelize(vec![false, false]))
             .unwrap();
-        let replayed = deep.extend(swap.clone()).unwrap_err();
-        let recomputed = fresh.extend(swap).unwrap_err();
+        let replayed = deep.extend(&swap).unwrap_err();
+        let recomputed = fresh.extend(&swap).unwrap_err();
         assert_eq!(format!("{replayed}"), format!("{recomputed}"));
         assert_eq!(format!("{e0}"), format!("{recomputed}"));
         assert!(cache.stats().cross_hits >= 1);
@@ -785,17 +863,17 @@ mod tests {
         let t1 = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
         let t2 = Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap();
         let root = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
-        root.extend(t1.clone()).unwrap();
-        root.extend(t2.clone()).unwrap(); // sweeps the first entry
+        root.extend(&t1).unwrap();
+        root.extend(&t2).unwrap(); // sweeps the first entry
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 1);
         // Evicted subproblems recompute to the same result.
         let again = SeqState::root(&nest, &deps)
             .with_shared(cache, 1)
-            .extend(t1.clone())
+            .extend(&t1)
             .unwrap();
-        let plain = SeqState::root(&nest, &deps).extend(t1).unwrap();
+        let plain = SeqState::root(&nest, &deps).extend(&t1).unwrap();
         assert_eq!(again.mapped_deps(), plain.mapped_deps());
         assert_eq!(again.shape(), plain.shape());
     }
@@ -822,7 +900,7 @@ mod tests {
         // 8 distinct skew templates → 8 deposits spread over shards.
         for s in 1..=8 {
             let t = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, s)).unwrap();
-            root.extend(t).unwrap();
+            root.extend(&t).unwrap();
         }
         let before = cache.stats();
         assert_eq!(before.inserts, 8);
@@ -844,7 +922,7 @@ mod tests {
         let t = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
         SeqState::root(&nest, &deps)
             .with_shared(cache.clone(), 0)
-            .extend(t.clone())
+            .extend(&t)
             .unwrap();
         assert_eq!(cache.stats().contended, 0);
         // Hold every shard's stripe, then probe from another thread: its
@@ -857,7 +935,7 @@ mod tests {
             std::thread::spawn(move || {
                 SeqState::root(&nest, &deps)
                     .with_shared(cache, 1)
-                    .extend(t)
+                    .extend(&t)
                     .unwrap();
             })
         };
@@ -899,8 +977,8 @@ mod tests {
         let mut a = SeqState::root(&nest, &deps).with_shared(single.clone(), 0);
         let mut b = SeqState::root(&nest, &deps).with_shared(sharded.clone(), 0);
         for t in templates {
-            a = a.extend(t.clone()).unwrap();
-            b = b.extend(t).unwrap();
+            a = a.extend(&t).unwrap();
+            b = b.extend(&t).unwrap();
             assert_eq!(a.mapped_deps(), b.mapped_deps());
             assert_eq!(a.shape(), b.shape());
         }
@@ -937,11 +1015,11 @@ mod tests {
         let t = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
         let a = SeqState::root(&nest, &deps)
             .with_shared(cache.clone(), 0)
-            .extend(t.clone())
+            .extend(&t)
             .unwrap();
         let b = SeqState::root(&nest, &deps)
             .with_shared(cache.clone(), 1)
-            .extend(t)
+            .extend(&t)
             .unwrap();
         // The replayed child points at the very same allocations the
         // computing job deposited.

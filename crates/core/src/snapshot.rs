@@ -1429,21 +1429,21 @@ mod tests {
         let s = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
         let skew = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
         let swap = Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap();
-        let child = s.extend(skew).unwrap();
-        child.extend(swap).unwrap();
+        let child = s.extend(&skew).unwrap();
+        child.extend(&swap).unwrap();
         // An illegal outcome too: reversal against (1,-1).
         let neg = DepSet::from_distances(&[&[1, -1]]);
         let s2 = SeqState::root(&nest, &neg).with_shared(cache.clone(), 0);
-        s2.extend(Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap())
+        s2.extend(&Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap())
             .unwrap_err();
         // A legal parallelize, then a transform on the ParDo loop —
         // exercises the precondition/codegen error encodings.
         let inner = DepSet::from_distances(&[&[0, 1]]);
         let s3 = SeqState::root(&nest, &inner)
             .with_shared(cache.clone(), 0)
-            .extend(Template::parallelize(vec![true, false]))
+            .extend(&Template::parallelize(vec![true, false]))
             .unwrap();
-        s3.extend(Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap())
+        s3.extend(&Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap())
             .unwrap_err();
     }
 
@@ -1466,25 +1466,25 @@ mod tests {
         let (nest, deps) = stencil();
         let skew = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
         let swap = Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap();
-        let fresh_child = SeqState::root(&nest, &deps).extend(skew.clone()).unwrap();
+        let fresh_child = SeqState::root(&nest, &deps).extend(&skew).unwrap();
         let warm_child = SeqState::root(&nest, &deps)
             .with_shared(warm.clone(), 7)
-            .extend(skew)
+            .extend(&skew)
             .unwrap();
         assert_eq!(warm_child.mapped_deps(), fresh_child.mapped_deps());
         assert_eq!(warm_child.shape(), fresh_child.shape());
-        let fresh_grand = fresh_child.extend(swap.clone()).unwrap();
-        let warm_grand = warm_child.extend(swap).unwrap();
+        let fresh_grand = fresh_child.extend(&swap).unwrap();
+        let warm_grand = warm_child.extend(&swap).unwrap();
         assert_eq!(warm_grand.mapped_deps(), fresh_grand.mapped_deps());
         assert_eq!(warm_grand.shape(), fresh_grand.shape());
 
         // Illegal outcomes replay with identical rendered reasons.
         let neg = DepSet::from_distances(&[&[1, -1]]);
         let rp = Template::reverse_permute(vec![false, false], vec![1, 0]).unwrap();
-        let fresh_err = SeqState::root(&nest, &neg).extend(rp.clone()).unwrap_err();
+        let fresh_err = SeqState::root(&nest, &neg).extend(&rp).unwrap_err();
         let warm_err = SeqState::root(&nest, &neg)
             .with_shared(warm.clone(), 7)
-            .extend(rp)
+            .extend(&rp)
             .unwrap_err();
         assert_eq!(format!("{warm_err}"), format!("{fresh_err}"));
 
@@ -1593,7 +1593,7 @@ mod tests {
         let skew = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
         SeqState::root(&nest, &deps)
             .with_shared(target.clone(), 3)
-            .extend(skew)
+            .extend(&skew)
             .unwrap();
         let own = target.len();
         let loaded = target.load_snapshot(&bytes).unwrap();
@@ -1607,15 +1607,15 @@ mod tests {
         // Replays still agree with fresh computation after the merge.
         let swap = Template::unimodular(irlt_unimodular::IntMatrix::interchange(2, 0, 1)).unwrap();
         let fresh = SeqState::root(&nest, &deps)
-            .extend(Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap())
+            .extend(&Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap())
             .unwrap()
-            .extend(swap.clone())
+            .extend(&swap)
             .unwrap();
         let merged = SeqState::root(&nest, &deps)
             .with_shared(target.clone(), 9)
-            .extend(Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap())
+            .extend(&Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap())
             .unwrap()
-            .extend(swap)
+            .extend(&swap)
             .unwrap();
         assert_eq!(merged.mapped_deps(), fresh.mapped_deps());
         assert_eq!(merged.shape(), fresh.shape());
@@ -1771,7 +1771,7 @@ mod tests {
             Template::coalesce(2, 0, 1).unwrap(),
             Template::interleave(2, 0, 1, vec![Expr::int(2), Expr::int(3)]).unwrap(),
         ] {
-            let _ = root.extend(t);
+            let _ = root.extend(&t);
         }
         // And an entry decided without building its child.
         root.admits(&Template::parallelize(vec![false, false]))
@@ -1852,7 +1852,7 @@ mod tests {
             (after.hits, after.snapshot_hits),
             (before.hits + 1, before.snapshot_hits + 1)
         );
-        let child = replay.extend(legal[0].clone()).unwrap();
+        let child = replay.extend(&legal[0]).unwrap();
         assert_eq!(
             warm.stats().misses,
             after.misses + 1,
@@ -1862,7 +1862,7 @@ mod tests {
         assert_eq!(
             child.shape(),
             SeqState::root(&nest, &deps)
-                .extend(legal[0].clone())
+                .extend(&legal[0])
                 .unwrap()
                 .shape()
         );

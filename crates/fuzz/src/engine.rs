@@ -261,7 +261,7 @@ pub fn execute_case(
         let mut chain_len = 0u64;
         for step in case.seq.steps() {
             let Step::Builtin(t) = step else { break };
-            match state.extend(t.clone()) {
+            match state.extend(t) {
                 Ok(next) => {
                     chain_len += 1;
                     tel.record(&format!("fuzz/chain/step/{}", t.name()), chain_len);

@@ -280,7 +280,7 @@ pub fn cross_check_case(
         };
         let next: Vec<Option<SeqState>> = chains
             .iter()
-            .map(|c| c.as_ref().and_then(|s| s.extend(t.clone()).ok()))
+            .map(|c| c.as_ref().and_then(|s| s.extend(t).ok()))
             .collect();
         let verdicts: Vec<bool> = next.iter().map(Option::is_some).collect();
         if verdicts.iter().any(|&v| v != verdicts[0]) {

@@ -26,7 +26,9 @@
 //! the root and for each node that strictly beats the best so far. Beam
 //! dedup keys on [`SeqState::shape_key`], the interned shape id when a
 //! shared cache is attached, and each shape depth's move list is built
-//! once per search and borrowed by every node of that depth.
+//! and keyed once per search ([`SeqState::key_moves`]) and borrowed by
+//! every node of that depth, so a probe of the shared cache reads each
+//! move's template id instead of interning the template.
 //!
 //! The last depth builds no child states. Its candidates are never
 //! extended, so each is decided by [`SeqState::admits`] (the verdict
@@ -44,7 +46,8 @@ use crate::cancel::CancelToken;
 use crate::goal::Goal;
 use crate::moves::MoveCatalog;
 use irlt_core::{
-    ExtendError, IllegalReason, SeqState, SharedLegalityCache, Template, TransformSeq,
+    ExtendError, IllegalReason, KeyedMove, Move, SeqState, SharedLegalityCache, Template,
+    TransformSeq,
 };
 use irlt_dependence::DepSet;
 use irlt_ir::LoopNest;
@@ -247,12 +250,13 @@ struct EvalCtx<'a> {
     leaf: bool,
 }
 
-fn evaluate(parent: &Node, template: &Template, ctx: EvalCtx<'_>) -> Outcome {
+fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>) -> Outcome {
     let child = if ctx.leaf {
-        parent.state.admits(template).map(|()| None)
+        parent.state.admits(mv).map(|()| None)
     } else {
-        parent.state.extend(template.clone()).map(Some)
+        parent.state.extend(mv).map(Some)
     };
+    let template = mv.template();
     let child = match child {
         Err(ExtendError::Sequence(_)) => return Outcome::Rejected,
         Err(ExtendError::Illegal(reason)) => return Outcome::Tested(reject_kind(&reason)),
@@ -310,21 +314,21 @@ fn leaf_candidate(parent: &Node, template: &Template, score: f64) -> Candidate {
 /// thread count, so the merge downstream is deterministic.
 fn expand(
     frontier: &[Node],
-    jobs: &[(usize, &Template)],
+    jobs: &[(usize, &KeyedMove)],
     ctx: EvalCtx<'_>,
     threads: usize,
 ) -> Vec<Outcome> {
-    let run = |slice: &[(usize, &Template)]| -> Vec<Outcome> {
+    let run = |slice: &[(usize, &KeyedMove)]| -> Vec<Outcome> {
         slice
             .iter()
-            .map(|(si, t)| {
+            .map(|(si, mv)| {
                 // Poll between evaluations, never within one: a fired
                 // token drains the remaining jobs as `Cancelled` so the
                 // depth winds down promptly but no work is torn mid-step.
                 if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
                     Outcome::Cancelled
                 } else {
-                    evaluate(&frontier[*si], t, ctx)
+                    evaluate(&frontier[*si], *mv, ctx)
                 }
             })
             .collect()
@@ -400,9 +404,10 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     // Beam dedup on `SeqState::shape_key`: the interned shape id with a
     // shared cache (exact), the structural fingerprint without one.
     let mut seen_shapes: HashSet<u128> = HashSet::new();
-    // The catalog's move list per shape depth, built once per search and
+    // The catalog's move list per shape depth, built and keyed once per
+    // search (one interner lock for the whole list, none per probe) and
     // borrowed by every frontier node of that depth.
-    let mut moves: HashMap<usize, Vec<Template>> = HashMap::new();
+    let mut moves: HashMap<usize, Vec<KeyedMove>> = HashMap::new();
 
     for depth in 0..config.max_steps {
         if config
@@ -415,9 +420,11 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         }
         for node in &frontier {
             let d = node.state.shape().depth();
-            moves.entry(d).or_insert_with(|| config.catalog.moves(d));
+            moves
+                .entry(d)
+                .or_insert_with(|| node.state.key_moves(config.catalog.moves(d)));
         }
-        let jobs: Vec<(usize, &Template)> = frontier
+        let jobs: Vec<(usize, &KeyedMove)> = frontier
             .iter()
             .enumerate()
             .flat_map(|(si, node)| {
@@ -440,7 +447,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         let (mut n_arity, mut n_pre, mut n_codegen, mut n_lexneg) = (0u64, 0u64, 0u64, 0u64);
         let (mut n_unscored, mut n_legal, mut n_deduped) = (0u64, 0u64, 0u64);
         let mut next: Vec<Node> = Vec::new();
-        for (outcome, &(si, t)) in outcomes.into_iter().zip(&jobs) {
+        for (outcome, &(si, mv)) in outcomes.into_iter().zip(&jobs) {
             match outcome {
                 Outcome::Rejected => n_arity += 1,
                 Outcome::Tested(kind) => {
@@ -477,7 +484,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
                     legal += 1;
                     n_legal += 1;
                     if score > best.score {
-                        best = leaf_candidate(&frontier[si], t, score);
+                        best = leaf_candidate(&frontier[si], mv.template(), score);
                     }
                 }
                 Outcome::Cancelled => timed_out = true,

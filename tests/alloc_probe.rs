@@ -8,6 +8,9 @@
 //! probe must perform **zero** allocations, for a hit and for a miss,
 //! while the first-ever probe of a template demonstrably allocates (the
 //! interner clones it into its pool), which proves the counter is live.
+//! The same holds for keyed moves, the search's probe path: a warmed
+//! keyed hit or miss allocates nothing, and keying a template the cache
+//! has never seen allocates.
 //!
 //! Allocation counting is process-global, so this file stays a single
 //! `#[test]` in its own integration-test binary — nothing else runs
@@ -40,8 +43,8 @@ fn warmed_probes_do_not_allocate_in_fingerprint_mode() {
 
     // Deposit (root, skew) and (root, interchange); leave reversal
     // uncached so the miss path is exercised too.
-    let _ = state.extend(skew.clone()).unwrap();
-    let _ = state.extend(interchange.clone()).unwrap();
+    let _ = state.extend(&skew).unwrap();
+    let _ = state.extend(&interchange).unwrap();
     // Warm every template through the interner once: first sight of a
     // template legitimately clones it into the pool.
     assert_eq!(state.shared_probe(&skew), Some(true));
@@ -63,11 +66,14 @@ fn warmed_probes_do_not_allocate_in_fingerprint_mode() {
 
     // PR 8: shard selection is a streaming hash over `Copy` words, so
     // the guarantee holds at any stripe count — pin the extremes
-    // explicitly (the default cache above auto-shards per host).
+    // explicitly (the default cache above auto-shards per host). The
+    // search probes with keyed moves (template ids issued once per move
+    // list), so the keyed probe is pinned at both extremes too.
     for shards in [1usize, 64] {
         let striped = SharedLegalityCache::with_shards(1 << 16, shards);
         let sstate = SeqState::root(&nest, &deps).with_shared(striped.clone(), 0);
-        let _ = sstate.extend(skew.clone()).unwrap();
+        let keyed = sstate.key_moves(vec![skew.clone(), reversal.clone()]);
+        let _ = sstate.extend(&keyed[0]).unwrap();
         assert_eq!(sstate.shared_probe(&skew), Some(true));
         assert_eq!(sstate.shared_probe(&reversal), Some(false));
 
@@ -78,6 +84,14 @@ fn warmed_probes_do_not_allocate_in_fingerprint_mode() {
         let (allocs, outcome) = count_allocations(|| sstate.shared_probe(&reversal));
         assert_eq!(outcome, Some(false));
         assert_eq!(allocs, 0, "miss allocated at {shards} shard(s)");
+
+        let (allocs, outcome) = count_allocations(|| sstate.shared_probe(&keyed[0]));
+        assert_eq!(outcome, Some(true));
+        assert_eq!(allocs, 0, "keyed hit allocated at {shards} shard(s)");
+
+        let (allocs, outcome) = count_allocations(|| sstate.shared_probe(&keyed[1]));
+        assert_eq!(outcome, Some(false));
+        assert_eq!(allocs, 0, "keyed miss allocated at {shards} shard(s)");
     }
 
     // Contrast (and proof the counter is live): the first sight of a
@@ -91,4 +105,17 @@ fn warmed_probes_do_not_allocate_in_fingerprint_mode() {
         "the unseen template was never deposited"
     );
     assert!(allocs > 0, "first-sight probe unexpectedly alloc-free");
+
+    // Keying is where a keyed move pays for first sight instead: keying
+    // a template the cache has never seen clones it into the pool, on
+    // top of the list both keyings allocate.
+    let seen = vec![skew.clone()];
+    let unseen = vec![Template::unimodular(IntMatrix::skew(2, 0, 1, 3)).unwrap()];
+    let (seen_allocs, _) = count_allocations(|| state.key_moves(seen));
+    let (unseen_allocs, keyed) = count_allocations(|| state.key_moves(unseen));
+    assert!(
+        unseen_allocs > seen_allocs,
+        "keying an unseen template allocated {unseen_allocs} times, a seen one {seen_allocs}"
+    );
+    assert_eq!(state.shared_probe(&keyed[0]), Some(false));
 }

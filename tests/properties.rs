@@ -12,7 +12,8 @@ use irlt::core::IllegalReason;
 use irlt::prelude::*;
 use irlt_harness::diff::shrink_oracle_case;
 use irlt_harness::gen::{
-    gen_dep_set, gen_exact_sequence, gen_nest, gen_pair, gen_sequence, gen_unimodular, shrink_pair,
+    gen_dep_set, gen_exact_sequence, gen_nest, gen_pair, gen_sequence, gen_template,
+    gen_unimodular, shrink_pair,
 };
 use irlt_harness::prop::{check, corpus_dir_for, CaseResult, Config};
 use irlt_harness::{cross_check_case, diff, prop_assert, prop_assert_eq, prop_assume, OracleCase};
@@ -333,6 +334,64 @@ fn verdict_of<T>(r: &Result<T, ExtendError>) -> Option<String> {
     r.as_ref().err().map(|e| format!("{e:?}"))
 }
 
+/// A nest `Unimodular` code generation cannot normalize, with a sequence
+/// that reaches a `Unimodular` step on it or on a shape made from it.
+/// One loop has a `max`/`min` origin and step ±2 or ±3, the rest run
+/// `1, m`, and the body reads `a` at small offsets. The sequence is an
+/// optional `Block` or `ReversePermute`, a `Unimodular` step, and an
+/// optional random step. `gen_nest` never builds such an origin.
+fn gen_unnormalizable_pair(rng: &mut irlt_harness::Rng) -> (LoopNest, TransformSeq) {
+    let depth = rng.gen_range(1..=3usize);
+    let names = ["i", "j", "k"];
+    let odd = rng.index(depth);
+    let step = *rng.choose(&[2i64, 3]).expect("nonempty");
+    let mut text = String::new();
+    for (lvl, v) in names.iter().take(depth).enumerate() {
+        let bounds = match (lvl == odd, rng.gen_bool(0.5)) {
+            (true, true) => format!("max(1, p), n, {step}"),
+            (true, false) => format!("min(n, p), 1, -{step}"),
+            (false, _) => "1, m".to_string(),
+        };
+        text += &format!("do {v} = {bounds}\n");
+    }
+    let subs = |rng: &mut irlt_harness::Rng| -> String {
+        names
+            .iter()
+            .take(depth)
+            .map(|v| format!("{v} + {}", rng.gen_range(-2..=2i64)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let (w, r) = (subs(rng), subs(rng));
+    text += &format!("a({w}) = a({r}) + 1\n");
+    text += &"enddo\n".repeat(depth);
+    let nest = parse_nest(&text).expect("generated nests parse");
+    let mut seq = TransformSeq::new(depth);
+    let first = match rng.index(3) {
+        0 => None,
+        1 => {
+            let (a, b) = (rng.index(depth), rng.index(depth));
+            let (i, j) = (a.min(b), a.max(b));
+            Some(Template::block(depth, i, j, vec![Expr::int(2); j - i + 1]).expect("valid range"))
+        }
+        _ => {
+            let rev = (0..depth).map(|_| rng.gen_bool(0.5)).collect();
+            Some(Template::reverse_permute(rev, rng.permutation(depth)).expect("valid"))
+        }
+    };
+    if let Some(t) = first {
+        seq = seq.push(t).expect("chains on the nest");
+    }
+    let n = seq.output_size();
+    let m = Template::unimodular(gen_unimodular(rng, n, 2)).expect("unimodular");
+    seq = seq.push(m).expect("chains");
+    if rng.gen_bool(0.5) {
+        let t = gen_template(rng, seq.output_size());
+        seq = seq.push(t).expect("chains");
+    }
+    (nest, seq)
+}
+
 /// The incremental legality engine (`SeqState`) agrees with the
 /// from-scratch `TransformSeq::is_legal` path on every prefix of a random
 /// sequence grown extension-by-extension: same verdict at each step, and
@@ -344,12 +403,24 @@ fn verdict_of<T>(r: &Result<T, ExtendError>) -> Option<String> {
 /// orders. `admits` then `extend` must leave an entry that answers
 /// `extend` probes (the `admits` entry was replaced), and `extend` then
 /// `admits` must answer `admits` from `extend`'s entry (a hit, no miss).
+///
+/// A quarter of the cases come from [`gen_unnormalizable_pair`], so
+/// `Unimodular` steps meet shapes that fail normalization, directly and
+/// after a `Block` or `ReversePermute`: there `extend` must report the
+/// `CodeGen` rejection `is_legal` reports, and `admits` must too.
 #[test]
 fn incremental_matches_scratch() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    // `Unimodular` steps rejected in code generation, which after their
+    // preconditions means in normalization.
+    let unnormalized = AtomicUsize::new(0);
     check(
         "incremental_matches_scratch",
-        &corpus_cfg(200),
+        &corpus_cfg(250),
         |rng| {
+            if rng.index(4) == 0 {
+                return gen_unnormalizable_pair(rng);
+            }
             let depth = rng.gen_range(1..=3usize);
             gen_pair(rng, depth)
         },
@@ -368,16 +439,16 @@ fn incremental_matches_scratch() {
                 };
                 prefix = prefix.push(t.clone()).expect("generated sequences chain");
                 let scratch = prefix.is_legal(nest, &deps);
-                let extended = state.extend(t.clone());
+                let extended = state.extend(t);
                 let want = verdict_of(&extended);
                 prop_assert_eq!(verdict_of(&state.admits(t)), want);
                 // Through a cache, `admits` first…
                 prop_assert_eq!(verdict_of(&a.admits(t)), want);
-                let a_next = a.extend(t.clone());
+                let a_next = a.extend(t);
                 prop_assert_eq!(verdict_of(&a_next), want);
                 prop_assert_eq!(a.shared_probe(t), Some(true));
                 // …and `extend` first.
-                let b_next = b.extend(t.clone());
+                let b_next = b.extend(t);
                 prop_assert_eq!(verdict_of(&b_next), want);
                 let before = extend_first.stats();
                 prop_assert_eq!(verdict_of(&b.admits(t)), want);
@@ -419,6 +490,11 @@ fn incremental_matches_scratch() {
                                 "incremental rejected a prefix is_legal accepts: {prefix} ({reason})"
                             ));
                         };
+                        if matches!(reason, IllegalReason::CodeGen { .. })
+                            && matches!(t, Template::Unimodular { .. })
+                        {
+                            unnormalized.fetch_add(1, Ordering::Relaxed);
+                        }
                         // Same arm, step and error as the oracle. A
                         // dependence rejection carries the first witness
                         // found, which must be one of the oracle's.
@@ -445,6 +521,12 @@ fn incremental_matches_scratch() {
             CaseResult::Pass
         },
     );
+    if std::env::var_os("IRLT_FUZZ_CASES").is_none() {
+        assert!(
+            unnormalized.load(Ordering::Relaxed) > 0,
+            "no Unimodular step met a shape that fails normalization"
+        );
+    }
 }
 
 /// `SeqState::extend` maps the dependences before it generates code and
@@ -626,7 +708,7 @@ fn shared_legality_cache_matches_fresh_chains() {
                 let irlt::core::Step::Builtin(t) = step else {
                     unreachable!("generated sequences are builtin-only")
                 };
-                match (fresh.extend(t.clone()), cached.extend(t.clone())) {
+                match (fresh.extend(t), cached.extend(t)) {
                     (Ok(f), Ok(c)) => {
                         prop_assert_eq!(f.mapped_deps(), c.mapped_deps());
                         prop_assert_eq!(f.shape(), c.shape());
@@ -1001,8 +1083,8 @@ fn shard_counts_are_invisible_on_random_chains() {
                 let irlt::core::Step::Builtin(t) = step else {
                     unreachable!("generated sequences are builtin-only")
                 };
-                let verdicts: Vec<_> = chains.iter().map(|s| s.extend(t.clone())).collect();
-                match fresh.extend(t.clone()) {
+                let verdicts: Vec<_> = chains.iter().map(|s| s.extend(t)).collect();
+                match fresh.extend(t) {
                     Ok(f) => {
                         let mut next = Vec::with_capacity(verdicts.len());
                         for (k, v) in verdicts.into_iter().enumerate() {
@@ -1071,7 +1153,7 @@ fn snapshot_warmed_chains_match_fresh_chains() {
                 let irlt::core::Step::Builtin(t) = step else {
                     unreachable!("generated sequences are builtin-only")
                 };
-                match s.extend(t.clone()) {
+                match s.extend(t) {
                     Ok(next) => s = next,
                     Err(_) => break,
                 }
@@ -1094,7 +1176,7 @@ fn snapshot_warmed_chains_match_fresh_chains() {
             let irlt::core::Step::Builtin(t) = step else {
                 unreachable!("generated sequences are builtin-only")
             };
-            match (fresh.extend(t.clone()), cached.extend(t.clone())) {
+            match (fresh.extend(t), cached.extend(t)) {
                 (Ok(f), Ok(c)) => {
                     assert_eq!(f.mapped_deps(), c.mapped_deps());
                     assert_eq!(f.shape(), c.shape());
