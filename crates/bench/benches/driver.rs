@@ -8,7 +8,8 @@
 //! Four effects are measured:
 //!
 //! * **Parallelism** (`t1` vs `t4`/`t8`) — wall-clock scaling from the
-//!   work-stealing pool; only meaningful on multi-core hosts.
+//!   worker pool, whose workers claim jobs from one shared counter; only
+//!   meaningful on multi-core hosts.
 //! * **Cross-nest sharing** (`fresh` vs `t1`) — algorithmic savings from
 //!   replaying legality subproblems across structurally identical nests,
 //!   independent of core count. The demo corpus repeats each of its 8

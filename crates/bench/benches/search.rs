@@ -5,10 +5,11 @@
 //! Three workloads: the Fig. 1(a) stencil (wavefront discovery), the
 //! Fig. 6 matrix multiply at the deep acceptance configuration
 //! (`max_steps: 5, beam_width: 16`), and a depth-4 rectangular nest.
-//! `search/*/incremental` and `search/*/parallel` run the engine serially
-//! and with 4 workers. The retired from-scratch engine, which replayed
-//! every candidate through `TransformSeq::is_legal`, is recorded as the
-//! `scratch_ms` rows of `BENCH_3.json`.
+//! `search/*/incremental` runs the engine (a search is always serial).
+//! The retired from-scratch engine, which replayed every candidate
+//! through `TransformSeq::is_legal`, is recorded as the `scratch_ms` rows
+//! of `BENCH_3.json`, and the retired 4-worker expansion as the
+//! `parallel_ms` rows of `BENCH_15.json`.
 //!
 //! `IRLT_TELEMETRY=path.json` turns the run into a telemetry capture:
 //! every search records through one shared handle and the aggregated JSON
@@ -22,40 +23,30 @@ use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use irlt_opt::{search, Goal, MoveCatalog, SearchConfig};
 
-/// One benchmark workload: a nest, a goal, and the base search
-/// configuration every engine variant shares.
+/// One benchmark workload: a nest, a goal, and its search configuration.
 struct Workload {
     name: &'static str,
     nest: LoopNest,
     goal: Goal,
-    base: SearchConfig,
-}
-
-fn engines(base: &SearchConfig) -> [(&'static str, SearchConfig); 2] {
-    [("incremental", 1), ("parallel", 4)].map(|(engine, threads)| {
-        (
-            engine,
-            SearchConfig {
-                threads,
-                ..base.clone()
-            },
-        )
-    })
+    cfg: SearchConfig,
 }
 
 fn bench_workload(r: &mut Runner, w: &Workload) {
     let deps = analyze_dependences(&w.nest);
-    for (engine, cfg) in engines(&w.base) {
-        r.bench(&format!("search/{}/{engine}", w.name), || {
-            black_box(search(black_box(&w.nest), black_box(&deps), &w.goal, &cfg))
-        });
-    }
+    r.bench(&format!("search/{}/incremental", w.name), || {
+        black_box(search(
+            black_box(&w.nest),
+            black_box(&deps),
+            &w.goal,
+            &w.cfg,
+        ))
+    });
 }
 
 fn main() {
     let mut r = Runner::default();
     let telemetry = Telemetry::from_env();
-    let base = |max_steps, beam_width, catalog| SearchConfig {
+    let cfg = |max_steps, beam_width, catalog| SearchConfig {
         max_steps,
         beam_width,
         catalog,
@@ -67,19 +58,19 @@ fn main() {
             name: "stencil",
             nest: stencil(),
             goal: Goal::OuterParallel,
-            base: base(3, 12, MoveCatalog::parallelism()),
+            cfg: cfg(3, 12, MoveCatalog::parallelism()),
         },
         Workload {
             name: "matmul",
             nest: matmul(),
             goal: Goal::OuterParallel,
-            base: base(5, 16, MoveCatalog::default()),
+            cfg: cfg(5, 16, MoveCatalog::default()),
         },
         Workload {
             name: "rect4",
             nest: rectangular(4),
             goal: Goal::InnerParallel,
-            base: base(4, 12, MoveCatalog::default()),
+            cfg: cfg(4, 12, MoveCatalog::default()),
         },
     ];
     for w in &workloads {

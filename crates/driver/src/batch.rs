@@ -1,14 +1,14 @@
-//! The batch runner: shard, steal, search, aggregate.
+//! The batch runner: hand out jobs, search, aggregate.
 
 use crate::job::{Job, JobResult, JobStatus};
-use crate::pool::WorkQueues;
 use irlt_core::{KeyMode, SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
 use irlt_dependence::analyze_dependences;
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::{search, CancelToken, SearchConfig};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Batch-level configuration (per-job settings live on [`Job`]).
@@ -54,7 +54,9 @@ pub struct BatchResult {
     pub jobs: Vec<JobResult>,
     /// Worker threads the pool actually ran.
     pub workers: usize,
-    /// Successful steals across the run.
+    /// Always 0: workers claim jobs from one shared counter, so nothing
+    /// is stolen. The field survives only because perfbench reads it
+    /// for its per-layer `driver.steals`.
     pub steals: u64,
     /// Shared-cache counters. Always `Some`: every batch shares one
     /// cache (the `Option` is kept for callers that read it with
@@ -81,14 +83,13 @@ impl BatchResult {
     }
 
     /// One JSON artifact describing the whole run: per-job results,
-    /// pool/steal counters, cache stats, and wall time. Pairs with the
+    /// pool counters, cache stats, and wall time. Pairs with the
     /// telemetry report (`Telemetry::report().to_json()`) for the full
     /// picture.
     pub fn to_json(&self) -> Json {
         Json::Object(vec![
             ("schema".into(), Json::Str("irlt-batch/v1".into())),
             ("workers".into(), Json::Int(self.workers as i64)),
-            ("steals".into(), Json::Int(self.steals as i64)),
             ("wall_ms".into(), Json::Float(self.wall.as_secs_f64() * 1e3)),
             (
                 "summary".into(),
@@ -116,13 +117,12 @@ impl fmt::Display for BatchResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} job(s) on {} worker(s) in {:.1} ms: {} completed, {} timed out, {} steal(s)",
+            "{} job(s) on {} worker(s) in {:.1} ms: {} completed, {} timed out",
             self.jobs.len(),
             self.workers,
             self.wall.as_secs_f64() * 1e3,
             self.completed(),
-            self.timed_out(),
-            self.steals
+            self.timed_out()
         )?;
         if let Some(s) = &self.cache {
             write!(f, "; cache: {s}")?;
@@ -228,12 +228,14 @@ pub fn cache_json(stats: &SharedCacheStats, snapshot_rejected: bool) -> Json {
     cache
 }
 
-/// Runs every job to a result, sharded across a work-stealing pool: job
-/// `k` starts on worker `k mod workers`, and idle workers steal to
-/// correct imbalance in job cost.
+/// Runs every job to a result on a pool of `workers` threads. The
+/// pool hands out jobs from one shared counter: each worker claims the
+/// next unclaimed index, runs that job and fills its slot, and stops once
+/// every job is claimed, so a worker that finishes early simply claims
+/// more.
 ///
 /// Per-job results are **deterministic**: bit-identical across worker
-/// counts, submission orders, steal interleavings, cache capacities, and
+/// counts, submission orders, claim interleavings, cache capacities, and
 /// telemetry on/off. Jobs with deadlines come back as
 /// [`JobStatus::TimedOut`] holding the best legal candidate found in
 /// budget; everything else in the batch is unaffected. All workers are
@@ -249,46 +251,41 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         config.cache_load.as_deref(),
         tel,
     );
-    let queues = WorkQueues::new(workers);
-    for k in 0..jobs.len() {
-        queues.push(k, k);
-    }
-    let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::default()).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<JobResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
-        for w in 0..queues.workers() {
-            let queues = &queues;
-            let slots = &slots;
-            let cache = &cache;
+        for w in 0..workers {
+            let (next, slots, cache) = (&next, &slots, &cache);
             scope.spawn(move || {
                 let opts = ExecOptions {
                     telemetry: config.telemetry.clone(),
                     cancel: None,
                 };
-                while let Some(popped) = queues.pop(w) {
+                loop {
+                    // `Relaxed` suffices: `fetch_add` alone makes each
+                    // claim unique, and the results are published by the
+                    // `OnceLock`s and the scope's join, not by the index.
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(k) else { break };
                     if tel.is_enabled() {
-                        tel.observe("driver/queue_depth", queues.remaining() as f64);
+                        tel.observe("driver/queue_depth", (jobs.len() - k - 1) as f64);
                     }
-                    let job = &jobs[popped.job];
-                    let result = execute_job(job, popped.job as u64, w, Some(cache), &opts);
-                    *slots[popped.job]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(result);
+                    let result = execute_job(job, k as u64, w, Some(cache), &opts);
+                    slots[k]
+                        .set(result)
+                        .expect("the counter hands out each job once");
                 }
             });
         }
     });
     let results: Vec<JobResult> = slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .expect("every queued job ran exactly once")
-        })
+        .map(|slot| slot.into_inner().expect("every job was claimed"))
         .collect();
     let result = BatchResult {
         jobs: results,
         workers,
-        steals: queues.steals(),
+        steals: 0,
         cache: Some(cache.stats()),
         snapshot,
         snapshot_rejected,
@@ -298,7 +295,6 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         for (name, value) in [
             ("driver/jobs", result.jobs.len() as u64),
             ("driver/workers", workers as u64),
-            ("driver/steals", result.steals),
             ("driver/completed", result.completed() as u64),
             ("driver/timed_out", result.timed_out() as u64),
         ] {
@@ -330,8 +326,8 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
 /// Per-execution settings for running one job outside a batch — the
 /// *request adapter* long-lived services (`irlt-serve`) share with
 /// [`run_batch`]. Telemetry never changes a result and an unfired token
-/// changes nothing; scheduling (threads, sharding, queues) is the
-/// caller's business.
+/// changes nothing; scheduling (threads, job order) is the caller's
+/// business.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Telemetry sink; disabled by default and bit-identical either way.
@@ -370,11 +366,11 @@ pub fn execute_job(
         catalog: job.catalog.clone(),
         max_steps: job.max_steps,
         beam_width: job.beam_width,
-        threads: 1,
         telemetry: opts.telemetry.clone(),
         shared: cache.cloned(),
         owner,
         cancel,
+        ..SearchConfig::default()
     };
     let start = Instant::now();
     let r = search(&job.nest, &deps, &job.goal, &cfg);
@@ -415,7 +411,6 @@ mod tests {
         assert_eq!(r.completed(), 6);
         assert_eq!(r.timed_out(), 0);
         assert_eq!(r.workers, 1);
-        assert_eq!(r.steals, 0);
     }
 
     #[test]

@@ -130,7 +130,8 @@ pub struct JobResult {
     pub legal: usize,
     /// Wall time the search took (nondeterministic).
     pub wall: Duration,
-    /// Which worker ran the job (nondeterministic under stealing).
+    /// Which worker ran the job (nondeterministic: whichever worker
+    /// claimed it first).
     pub worker: usize,
 }
 

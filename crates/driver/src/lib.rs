@@ -5,8 +5,9 @@
 //! beam search into a batch driver:
 //!
 //! * [`Job`] — one nest plus its goal, search settings, and optional
-//!   deadline; [`run_batch`] shards jobs across a **work-stealing worker
-//!   pool** and returns one [`JobResult`] per job, in submission order.
+//!   deadline; [`run_batch`] runs jobs on a **worker pool** whose workers
+//!   claim the next unclaimed job from one shared counter, and returns
+//!   one [`JobResult`] per job, in submission order.
 //! * **Deadlines + cooperative cancellation** — a job whose
 //!   [`CancelToken`](irlt_opt::CancelToken) fires returns its best-so-far
 //!   *legal* candidate with [`JobStatus::TimedOut`]; no panic, no hang,
@@ -18,11 +19,12 @@
 //!   On capacity pressure the cache sweeps a generation and jobs fall
 //!   back to scratch legality — verdict-identical by construction.
 //! * **Determinism** — per-job results are a pure function of the job:
-//!   independent of worker count, submission order, steal interleaving,
-//!   and cache state. The workspace's `tests/driver.rs` pins this
-//!   bit-for-bit at 1/4/8 threads and across shuffled submission orders.
+//!   independent of worker count, submission order, which worker claims
+//!   which job, and cache state. The workspace's `tests/driver.rs` pins
+//!   this bit-for-bit at 1/4/8 threads, with more workers than jobs, and
+//!   across shuffled submission orders.
 //! * **Telemetry** — one [`Telemetry`](irlt_obs::Telemetry) handle
-//!   threads through the pool (`driver/steals`, `driver/queue_depth`,
+//!   threads through the pool (`driver/workers`, `driver/queue_depth`,
 //!   `driver/cache/cross_hits`, per-job wall-time histograms) and
 //!   [`BatchResult::to_json`] renders one JSON artifact describing the
 //!   whole run.
@@ -51,7 +53,6 @@ mod batch;
 mod corpus;
 mod job;
 mod manifest;
-mod pool;
 
 pub use batch::{
     cache_json, execute_job, open_cache, publish_cache_telemetry, run_batch, worker_count,

@@ -167,7 +167,7 @@ mod tests {
         assert!(is_coverage_bucket("legality/oracle/agree"));
         assert!(is_coverage_bucket("fuzz/chain/len[4]"));
         assert!(!is_coverage_bucket("legality/cache/hits"));
-        assert!(!is_coverage_bucket("search/threads"));
+        assert!(!is_coverage_bucket("search/max_steps"));
         assert!(!is_coverage_bucket("cachesim/misses"));
     }
 

@@ -289,7 +289,6 @@ pub fn execute_case(
             let cfg = SearchConfig {
                 max_steps: 2,
                 beam_width: 4,
-                threads: 1,
                 telemetry: tel.clone(),
                 ..SearchConfig::default()
             };

@@ -14,10 +14,10 @@
 //! (the O(k²)→O(k) saving recorded in `BENCH_3.json`). The paper's
 //! uniform test stays the reference oracle: the unit tests replay every
 //! `(frontier node, move)` pair of two deep searches through it and
-//! require the same verdict and shape. Frontier expansion optionally fans
-//! out across `std::thread::scope` workers; outcomes are merged in
-//! deterministic (state, move) order, so the result is bit-identical to
-//! the serial path.
+//! require the same verdict and shape. A search runs serially on the
+//! calling thread, and each depth's outcomes are merged in (state, move)
+//! order; parallelism is the batch pool's business, across jobs
+//! (`irlt_driver::run_batch`), not within one search.
 //!
 //! The frontier is zero-copy. A node is its `SeqState` plus its score:
 //! the sequence and shape stay behind the state's `Arc`s (the cache's
@@ -66,9 +66,10 @@ pub struct SearchConfig {
     pub max_steps: usize,
     /// States kept per depth.
     pub beam_width: usize,
-    /// Worker threads for frontier expansion: `1` is fully serial, `0`
-    /// uses one worker per available core. Results are bit-identical for
-    /// every thread count (deterministic merge order).
+    /// Ignored: every search runs serially on the calling thread.
+    ///
+    /// The search neither reads nor branches on it. It survives only
+    /// because perfbench sets it when it builds a config.
     pub threads: usize,
     /// Telemetry sink for search observability. The default is the
     /// disabled (no-op) handle: nothing is recorded, nothing is
@@ -76,9 +77,8 @@ pub struct SearchConfig {
     /// never influences control flow. With an enabled handle the search
     /// records per-depth beam statistics (`search/depth.N/*`: candidates
     /// generated, rejection taxonomy, shape dedups, beam occupancy, the
-    /// goal-score distribution), thread fan-out and expand/merge
-    /// timings, and — through [`SeqState`] — the legality-cache and
-    /// dependence-mapping counters.
+    /// goal-score distribution), expand/merge timings, and — through
+    /// [`SeqState`] — the legality-cache and dependence-mapping counters.
     pub telemetry: Telemetry,
     /// Cross-nest shared legality cache: when set, every candidate
     /// extension consults the batch-wide memo table before recomputing,
@@ -239,7 +239,7 @@ fn reject_kind(reason: &IllegalReason) -> RejectKind {
 }
 
 /// Everything one extension evaluation needs besides the `(state, move)`
-/// pair itself — shared read-only across worker threads.
+/// pair itself.
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     goal: &'a Goal,
@@ -309,50 +309,20 @@ fn leaf_candidate(parent: &Node, template: &Template, score: f64) -> Candidate {
     }
 }
 
-/// Evaluates all `(state, move)` jobs, fanning out across scoped worker
-/// threads when asked to. Outcomes come back in job order regardless of
-/// thread count, so the merge downstream is deterministic.
-fn expand(
-    frontier: &[Node],
-    jobs: &[(usize, &KeyedMove)],
-    ctx: EvalCtx<'_>,
-    threads: usize,
-) -> Vec<Outcome> {
-    let run = |slice: &[(usize, &KeyedMove)]| -> Vec<Outcome> {
-        slice
-            .iter()
-            .map(|(si, mv)| {
-                // Poll between evaluations, never within one: a fired
-                // token drains the remaining jobs as `Cancelled` so the
-                // depth winds down promptly but no work is torn mid-step.
-                if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
-                    Outcome::Cancelled
-                } else {
-                    evaluate(&frontier[*si], *mv, ctx)
-                }
-            })
-            .collect()
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        return run(jobs);
-    }
-    let chunk = jobs.len().div_ceil(threads);
-    if ctx.tel.is_enabled() {
-        ctx.tel.incr("search/expand/parallel_rounds");
-        ctx.tel
-            .observe("search/expand/workers", jobs.len().div_ceil(chunk) as f64);
-    }
-    let mut out = Vec::with_capacity(jobs.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|c| s.spawn(move || run(c)))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("search worker panicked"));
-        }
-    });
-    out
+/// Evaluates all `(state, move)` jobs, in job order.
+fn expand(frontier: &[Node], jobs: &[(usize, &KeyedMove)], ctx: EvalCtx<'_>) -> Vec<Outcome> {
+    jobs.iter()
+        .map(|(si, mv)| {
+            // Poll between evaluations, never within one: a fired token
+            // drains the remaining jobs as `Cancelled` so the depth winds
+            // down promptly but no work is torn mid-step.
+            if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
+                Outcome::Cancelled
+            } else {
+                evaluate(&frontier[*si], *mv, ctx)
+            }
+        })
+        .collect()
 }
 
 /// Searches for the best legal transformation of `nest` under `goal`.
@@ -386,13 +356,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         state = state.with_shared(cache.clone(), config.owner);
     }
     let root = Node::root(state, nest, goal);
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads
-    };
     if tel.is_enabled() {
-        tel.count("search/threads", threads as u64);
         tel.count("search/beam_width", config.beam_width as u64);
         tel.count("search/max_steps", config.max_steps as u64);
     }
@@ -440,7 +404,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             leaf: depth + 1 == config.max_steps,
         };
         let expand_start = tel.is_enabled().then(Instant::now);
-        let outcomes = expand(&frontier, &jobs, ctx, threads);
+        let outcomes = expand(&frontier, &jobs, ctx);
         let merge_start = tel.is_enabled().then(Instant::now);
         // Per-depth beam statistics, accumulated in plain locals so the
         // merge loop never touches the sink, then recorded once per depth.
@@ -654,22 +618,14 @@ mod tests {
         assert!(s.contains("candidates tested"), "{s}");
     }
 
-    /// Every thread count and shared-cache state used below must agree
-    /// bit-for-bit.
+    /// Every shared-cache state used below must agree bit-for-bit.
     fn run_all_modes(
         nest: &LoopNest,
         deps: &DepSet,
         goal: &Goal,
         base: &SearchConfig,
     ) -> Vec<SearchResult> {
-        let mut out = Vec::new();
-        for threads in [1, 4, 0] {
-            let cfg = SearchConfig {
-                threads,
-                ..base.clone()
-            };
-            out.push(search(nest, deps, goal, &cfg));
-        }
+        let mut out = vec![search(nest, deps, goal, base)];
         // Shared-cache modes: a cold cache, then a fully warm one (every
         // extension replays a deposit) — both must still be bit-identical.
         let cache = SharedLegalityCache::new();
@@ -705,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_and_cache_states_bit_identical_on_stencil() {
+    fn cache_states_bit_identical_on_stencil() {
         let nest = parse_nest(STENCIL).unwrap();
         let deps = analyze_dependences(&nest);
         let base = SearchConfig {
@@ -720,9 +676,9 @@ mod tests {
     #[test]
     fn matmul_acceptance_config_is_pinned() {
         // The acceptance configuration: Fig. 6 matmul, max_steps 5,
-        // beam 16. Every thread count and cache state returns the result
-        // the from-scratch engine (`is_legal` per candidate) produced
-        // before it was retired — pinned here as literals.
+        // beam 16. Every cache state returns the result the from-scratch
+        // engine (`is_legal` per candidate) produced before it was
+        // retired — pinned here as literals.
         let nest = parse_nest(MATMUL).unwrap();
         let deps = analyze_dependences(&nest);
         let base = SearchConfig {
@@ -1058,24 +1014,6 @@ mod tests {
         assert!(r.counter("legality/cache/hits") > 0, "{r:?}");
         assert!(r.spans.contains_key("search/expand"), "{r:?}");
         assert!(r.stats.contains_key("search/score"), "{r:?}");
-    }
-
-    #[test]
-    fn parallel_expansion_records_worker_fanout() {
-        let nest =
-            parse_nest("do i = 2, n\n do j = 1, m\n  a(i, j) = a(i - 1, j) + 1\n enddo\nenddo")
-                .unwrap();
-        let deps = analyze_dependences(&nest);
-        let tel = Telemetry::enabled();
-        let cfg = SearchConfig {
-            threads: 4,
-            telemetry: tel.clone(),
-            ..SearchConfig::default()
-        };
-        search(&nest, &deps, &Goal::OuterParallel, &cfg);
-        let r = tel.report();
-        assert!(r.counter("search/expand/parallel_rounds") > 0, "{r:?}");
-        assert!(r.stats["search/expand/workers"].max <= 4.0, "{r:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Batch optimization of a whole corpus of loop nests: the `irlt-driver`
-//! work-stealing pool with per-job deadlines, cooperative cancellation,
-//! and one cross-nest shared legality cache.
+//! worker pool (workers claim jobs from one shared counter) with per-job
+//! deadlines, cooperative cancellation, and one cross-nest shared
+//! legality cache.
 //!
 //! ```text
 //! cargo run --example batch_corpus
@@ -9,7 +10,7 @@
 //!
 //! Three acts:
 //!
-//! 1. a 32-job corpus sharded across 4 workers, showing cross-nest
+//! 1. a 32-job corpus run on 4 workers, showing cross-nest
 //!    legality sharing (structurally identical nests replay each other's
 //!    subproblems bit-identically);
 //! 2. the same corpus with one pathological deep job on a 5ms deadline —

@@ -17,7 +17,7 @@
 //! | [`interp`] | loop-nest interpreter, differential equivalence checking, empirical dependences |
 //! | [`cachesim`] | set-associative LRU cache + array layouts for locality studies |
 //! | [`opt`] | goal-directed transformation search and empirical rule validation (the paper's "automatic transformation system" future work) |
-//! | [`driver`] | batched multi-nest optimization: work-stealing pool, per-job deadlines with cooperative cancellation, cross-nest shared legality caching, the `irlt-batch` CLI |
+//! | [`driver`] | batched multi-nest optimization: a worker pool fed from one shared job counter, per-job deadlines with cooperative cancellation, cross-nest shared legality caching, the `irlt-batch` CLI |
 //! | [`serve`] | the long-lived optimization service: `irlt-serve/v1` NDJSON protocol over Unix sockets, bounded admission with backpressure, per-request SLOs, snapshot rotation, graceful drain |
 //! | [`obs`] | zero-dependency structured telemetry: counters, histograms, spans, JSON artifacts (`IRLT_TELEMETRY=path.json`) |
 //!

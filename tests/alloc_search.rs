@@ -39,7 +39,6 @@ fn warm_search_allocations_per_candidate_stay_bounded() {
     let cfg = SearchConfig {
         max_steps: 5,
         beam_width: 16,
-        threads: 1,
         shared: Some(SharedLegalityCache::new()),
         ..SearchConfig::default()
     };

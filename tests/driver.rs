@@ -3,8 +3,8 @@
 //!
 //! The driver's contract is that scheduling is *invisible*: per-job
 //! results are a pure function of the job, regardless of worker count,
-//! submission order, steal interleaving, shared-cache capacity, or
-//! telemetry. These tests pin that bit-for-bit, plus the deadline and
+//! submission order, which worker claims which job, shared-cache
+//! capacity, or telemetry. These tests pin that bit-for-bit, plus the deadline and
 //! degradation behaviors.
 
 use irlt::driver::{demo_corpus, execute_job, run_batch, BatchConfig, ExecOptions, Job, JobResult};
@@ -69,7 +69,7 @@ fn batch_results_are_deterministic_across_threads_and_orders() {
     for threads in [4, 8] {
         let r = run_batch(&jobs, &config(threads));
         assert_eq!(r.workers, threads);
-        // Results surface in submission order even under stealing…
+        // Results surface in submission order whichever worker ran them…
         let names: Vec<&str> = r.jobs.iter().map(|j| j.name.as_str()).collect();
         let submitted: Vec<&str> = jobs.iter().map(|j| j.name.as_str()).collect();
         assert_eq!(
@@ -146,8 +146,8 @@ fn deadline_cuts_one_job_without_disturbing_the_batch() {
     );
 }
 
-/// Satellite 4: the telemetry sink sees the pool — the pool's steal
-/// count, nonzero cross-nest cache hits, and a per-job wall-time
+/// Satellite 4: the telemetry sink sees the pool — every job searched
+/// exactly once, nonzero cross-nest cache hits, and a per-job wall-time
 /// histogram — while telemetry on/off keeps results bit-identical.
 #[test]
 fn telemetry_observes_the_pool_and_never_perturbs_results() {
@@ -165,7 +165,12 @@ fn telemetry_observes_the_pool_and_never_perturbs_results() {
     assert_eq!(report.counter("driver/jobs"), 64);
     assert_eq!(report.counter("driver/workers"), 4);
     assert_eq!(report.counter("driver/completed"), 64);
-    assert_eq!(report.counter("driver/steals"), observed.steals);
+    // Each search adds its own total to `search/explored`: a job the
+    // pool ran twice (or skipped) would break the sum.
+    assert_eq!(
+        report.counter("search/explored") as usize,
+        observed.jobs.iter().map(|j| j.explored).sum::<usize>()
+    );
     assert!(
         report.counter("driver/cache/cross_hits") > 0,
         "no cross-nest sharing on a duplicate-heavy corpus: {report:?}"
@@ -184,6 +189,21 @@ fn telemetry_observes_the_pool_and_never_perturbs_results() {
         sorted_fingerprints(&silent.jobs),
         "telemetry on/off changed results"
     );
+}
+
+/// More workers than jobs: the idle workers find every job claimed and
+/// exit, every slot is filled, and the results come back in submission
+/// order, equal to the uncached serial reference.
+#[test]
+fn more_workers_than_jobs_fill_every_slot_in_order() {
+    let jobs = demo_corpus(3);
+    let r = run_batch(&jobs, &config(8));
+    assert_eq!(r.workers, 8);
+    assert_eq!(r.completed(), 3);
+    let names: Vec<&str> = r.jobs.iter().map(|j| j.name.as_str()).collect();
+    let submitted: Vec<&str> = jobs.iter().map(|j| j.name.as_str()).collect();
+    assert_eq!(names, submitted);
+    assert_eq!(sorted_fingerprints(&r.jobs), uncached_reference(&jobs));
 }
 
 /// Graceful degradation: a shared cache at its default capacity and one
