@@ -1,9 +1,13 @@
 //! Locality studies on the cache simulator: tiled vs untiled matmul and
-//! interchanged vs original stencil walks, plus one whole
-//! `Goal::Locality` search, whose time is almost all cache simulation.
+//! interchanged vs original stencil walks, plus two whole
+//! `Goal::Locality` searches. A search's time is trial simulation, code
+//! generation and legality tests; its last depth is bounded, so the
+//! copy search (`copy32`) decides its leaves without trials, and the
+//! matmul search (`matmul10`), whose best never reaches the compulsory
+//! misses, stops each leaf's trial once it cannot beat the best.
 //! The harness measures the simulation throughput; the *miss-rate shape*
 //! (who wins, by how much) is asserted here and reported in
-//! EXPERIMENTS.md. `BENCH_19_locality.json` records the gated medians.
+//! EXPERIMENTS.md. `BENCH_25_locality.json` records the gated medians.
 
 use irlt_bench::matmul;
 use irlt_cachesim::{simulate_nest, AddressMap, CacheConfig, Order};
@@ -95,8 +99,9 @@ fn stencil_walk_order(r: &mut Runner) {
 }
 
 /// The `locality` benchmark workload's largest copy job: a beam search
-/// over the locality moves, scoring every legal candidate by simulating
-/// it on a cache smaller than either array.
+/// over the locality moves, scoring each interior candidate by simulating
+/// it on a cache smaller than either array. The best at depth 0 already
+/// has the copy's compulsory misses, so no leaf runs a trial.
 fn copy_search(r: &mut Runner) {
     let nest = parse_nest("do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo")
         .expect("parses");
@@ -133,10 +138,41 @@ fn copy_search(r: &mut Runner) {
     });
 }
 
+/// A matmul locality search whose best is a two-step sequence that never
+/// reaches the compulsory misses: each leaf is simulated, and stopped as
+/// soon as it cannot beat the best.
+fn matmul_search(r: &mut Runner) {
+    let nest = matmul();
+    let deps = analyze_dependences(&nest);
+    let n: i64 = 10;
+    let goal = Goal::Locality(LocalityGoal {
+        params: vec![("n".into(), n)],
+        map: map_for_matmul(n as u64),
+        cache: CacheConfig {
+            size_bytes: 1024,
+            line_bytes: 64,
+            associativity: 2,
+        },
+    });
+    let config = SearchConfig {
+        catalog: MoveCatalog::locality(),
+        max_steps: 2,
+        beam_width: 4,
+        ..SearchConfig::default()
+    };
+    let found = search(&nest, &deps, &goal, &config);
+    assert_eq!(found.best.seq.len(), 2, "the best is a leaf: {found}");
+
+    r.bench("locality/search/matmul10", || {
+        black_box(search(&nest, &deps, &goal, &config))
+    });
+}
+
 fn main() {
     let mut r = Runner::default();
     matmul_tiling(&mut r);
     stencil_walk_order(&mut r);
     copy_search(&mut r);
+    matmul_search(&mut r);
     r.finish();
 }

@@ -172,6 +172,12 @@ impl AddressMap {
             })
     }
 
+    /// One past the highest byte address any declared array occupies:
+    /// every address the map translates lies below it.
+    pub(crate) fn extent(&self) -> u64 {
+        self.next_base
+    }
+
     /// The declaration of `array`, if any.
     pub(crate) fn decl(&self, array: &Symbol) -> Option<&ArrayDecl> {
         self.arrays.get(array)

@@ -15,7 +15,8 @@
 //!   nests whose addresses or control flow depend on array values run
 //!   through the interpreter's access trace instead;
 //! * [`simulate_nest`] — feed that stream through a cache and report
-//!   counters;
+//!   counters; [`simulate_nest_bounded`] stops once the misses reach a
+//!   limit, and [`lines_touched`] counts the compulsory misses;
 //! * [`Hierarchy`] — a two-level (L1/L2) inclusive hierarchy with a
 //!   weighted cost model.
 //!
@@ -45,4 +46,7 @@ mod stream;
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{Hierarchy, Latencies};
 pub use layout::{AddressError, AddressMap, Order};
-pub use sim::{simulate_nest, simulate_nest_observed, stream_addresses, SimError, SimResult};
+pub use sim::{
+    lines_touched, simulate_nest, simulate_nest_bounded, simulate_nest_observed, stream_addresses,
+    SimError, SimResult,
+};

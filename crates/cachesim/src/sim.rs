@@ -4,13 +4,19 @@
 //! addresses and control flow do not depend on array values; the reference
 //! path — execute with the interpreter, record the access trace, translate
 //! it to addresses — serves the rest and names every error.
+//!
+//! Every simulation is one bounded run ([`simulate_nest_bounded`]): its
+//! sink stops the stream as soon as the misses reach the limit, and
+//! [`simulate_nest`] is that run with no limit.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::layout::{AddressError, AddressMap};
-use crate::stream::{Bail, Program};
+use crate::stream::{Halt, Program};
 use irlt_interp::{ExecError, Executor, Memory, TraceLevel};
 use irlt_ir::LoopNest;
+use irlt_obs::Telemetry;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A failure while simulating a nest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,25 +94,7 @@ pub fn simulate_nest(
     map: &AddressMap,
     config: CacheConfig,
 ) -> Result<SimResult, SimError> {
-    simulate(nest, params, map, config).0
-}
-
-/// [`simulate_nest`], also telling whether the reference path ran.
-fn simulate(
-    nest: &LoopNest,
-    params: &[(&str, i64)],
-    map: &AddressMap,
-    config: CacheConfig,
-) -> (Result<SimResult, SimError>, bool) {
-    let mut cache = Cache::new(config);
-    let (run, fell_back) = stream(nest, params, map, &mut |addr| {
-        cache.access(addr);
-    });
-    let result = run.map(|iterations| SimResult {
-        stats: cache.stats(),
-        iterations,
-    });
-    (result, fell_back)
+    simulate_nest_observed(nest, params, map, config, &Telemetry::disabled())
 }
 
 /// Feeds the byte address of every array access `nest` makes, in
@@ -152,26 +140,34 @@ pub fn stream_addresses(
     map: &AddressMap,
     mut sink: impl FnMut(u64),
 ) -> Result<usize, SimError> {
-    stream(nest, params, map, &mut sink).0
+    let mut sink = |addr| {
+        sink(addr);
+        ControlFlow::Continue(())
+    };
+    let (run, _) = stream(nest, params, map, &mut sink);
+    run.map(|iterations| iterations.expect("a sink that never breaks never stops the run"))
 }
 
-/// [`stream_addresses`], also telling whether the reference path ran.
+/// [`stream_addresses`] with a sink that may stop the run after any
+/// access: `Ok(None)` when it did. Also tells whether the reference path
+/// ran.
 fn stream(
     nest: &LoopNest,
     params: &[(&str, i64)],
     map: &AddressMap,
-    sink: &mut impl FnMut(u64),
-) -> (Result<usize, SimError>, bool) {
+    sink: &mut impl FnMut(u64) -> ControlFlow<()>,
+) -> (Result<Option<usize>, SimError>, bool) {
     let Some(program) = Program::compile(nest, map) else {
         return (reference(nest, params, map, sink), true);
     };
     match program.run(params, sink) {
-        Ok(iterations) => (Ok(iterations), false),
+        Ok(iterations) => (Ok(Some(iterations)), false),
+        Err(Halt::Stop) => (Ok(None), false),
         // The interpreter reaches the same failure, or an execution error
         // first (it executes the whole nest before addressing any access),
         // so only the reference path can name the error.
-        Err(Bail) => {
-            let err = reference(nest, params, map, &mut |_| {})
+        Err(Halt::Bail) => {
+            let err = reference(nest, params, map, &mut |_| ControlFlow::Continue(()))
                 .expect_err("the reference path fails wherever streaming does");
             (Err(err), true)
         }
@@ -184,25 +180,70 @@ fn reference(
     nest: &LoopNest,
     params: &[(&str, i64)],
     map: &AddressMap,
-    sink: &mut impl FnMut(u64),
-) -> Result<usize, SimError> {
+    sink: &mut impl FnMut(u64) -> ControlFlow<()>,
+) -> Result<Option<usize>, SimError> {
     let mut ex = Executor::new();
     for &(k, v) in params {
         ex.set_param(k, v);
     }
     ex.trace(TraceLevel::Accesses);
     let run = ex.run(nest, Memory::new())?;
-    map.drive(&run.trace, sink)?;
-    Ok(run.iterations)
+    for e in &run.trace {
+        if sink(map.address(&e.array, &e.indices)?).is_break() {
+            return Ok(None);
+        }
+    }
+    Ok(Some(run.iterations))
 }
 
-/// [`simulate_nest`] fed by the observability layer: on success the cache
-/// counters are exported through `tel` under `cachesim/*` (`simulations`,
-/// `accesses`, `hits`, `misses`, `iterations`, and the per-trial
-/// `miss_ratio` stream); failed trials count under
-/// `cachesim/trial_failures`, and trials that took the interpreter's
-/// reference path (see [`stream_addresses`]) under `cachesim/fallbacks`.
-/// With a disabled handle this is exactly [`simulate_nest`].
+/// The number of distinct `line_bytes`-byte lines `nest`'s accesses
+/// touch: its compulsory misses, since from a cold cache of any geometry
+/// with that line size each of those lines misses at least once. The
+/// lines are marked in one bitmap over the map's whole address range.
+///
+/// # Errors
+///
+/// As for [`simulate_nest`].
+///
+/// # Examples
+///
+/// ```
+/// use irlt_cachesim::{lines_touched, AddressMap, Order};
+/// use irlt_ir::parse_nest;
+///
+/// let nest = parse_nest("do r = 1, 3\n do i = 1, n\n  s(1) = s(1) + a(i)\n enddo\nenddo")?;
+/// let mut map = AddressMap::new(Order::ColMajor, 8);
+/// map.declare("a", &[64]).declare("s", &[1]);
+/// // 64 elements × 8 B on 64-byte lines, however often they are swept,
+/// // plus one line for `s`.
+/// assert_eq!(lines_touched(&nest, &[("n", 64)], &map, 64)?, 9);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn lines_touched(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    line_bytes: usize,
+) -> Result<u64, SimError> {
+    let line_bytes = line_bytes as u64;
+    let mut seen = vec![0u64; map.extent().div_ceil(line_bytes).div_ceil(64) as usize];
+    let mut lines = 0;
+    let (run, _) = stream(nest, params, map, &mut |addr| {
+        let line = addr / line_bytes;
+        let (word, bit) = (&mut seen[(line / 64) as usize], 1 << (line % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            lines += 1;
+        }
+        ControlFlow::Continue(())
+    });
+    run?;
+    Ok(lines)
+}
+
+/// [`simulate_nest`] fed by the observability layer: see
+/// [`simulate_nest_bounded`], which this is with no miss limit. With a
+/// disabled handle this is exactly [`simulate_nest`].
 ///
 /// # Errors
 ///
@@ -212,15 +253,85 @@ pub fn simulate_nest_observed(
     params: &[(&str, i64)],
     map: &AddressMap,
     config: CacheConfig,
-    tel: &irlt_obs::Telemetry,
+    tel: &Telemetry,
 ) -> Result<SimResult, SimError> {
-    let (result, fell_back) = simulate(nest, params, map, config);
+    simulate_nest_bounded(nest, params, map, config, None, tel)
+        .map(|r| r.expect("a simulation without a miss limit runs to the end"))
+}
+
+/// [`simulate_nest`] that stops as soon as the misses reach `miss_limit`
+/// (before the first access when it is 0) and then returns `Ok(None)`.
+/// Misses only grow, so it stops exactly when the whole run would miss at
+/// least `miss_limit` times, unless the run fails first; otherwise it
+/// returns `Ok(Some(_))` or the error, as [`simulate_nest`] does. With
+/// `None` for `miss_limit` it is [`simulate_nest`].
+///
+/// The cache counters are exported through `tel` under `cachesim/*`: a
+/// finished run adds `simulations`, `accesses`, `hits`, `misses`,
+/// `iterations` and one sample of the per-trial `miss_ratio` stream, a
+/// stopped run counts under `cachesim/bounded`, a failed one under
+/// `cachesim/trial_failures`, and a run that took the interpreter's
+/// reference path (see [`stream_addresses`]) under `cachesim/fallbacks`.
+///
+/// # Errors
+///
+/// As for [`simulate_nest`].
+///
+/// # Examples
+///
+/// ```
+/// use irlt_cachesim::{simulate_nest_bounded, AddressMap, CacheConfig, Order};
+/// use irlt_ir::parse_nest;
+/// use irlt_obs::Telemetry;
+///
+/// let nest = parse_nest("do i = 1, n\n  s(1) = s(1) + a(i)\nenddo")?;
+/// let mut map = AddressMap::new(Order::ColMajor, 8);
+/// map.declare("a", &[64]).declare("s", &[1]);
+/// let run = |limit| {
+///     simulate_nest_bounded(&nest, &[("n", 64)], &map, CacheConfig::l1(), limit, &Telemetry::disabled())
+/// };
+/// // The whole run misses 9 times.
+/// assert_eq!(run(None)?.map(|r| r.stats.misses), Some(9));
+/// assert_eq!(run(Some(10))?.map(|r| r.stats.misses), Some(9));
+/// assert_eq!(run(Some(9))?, None);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn simulate_nest_bounded(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    config: CacheConfig,
+    miss_limit: Option<u64>,
+    tel: &Telemetry,
+) -> Result<Option<SimResult>, SimError> {
+    let mut cache = Cache::new(config);
+    let (run, fell_back) = match miss_limit {
+        // A sink that never breaks: the stream's stop checks compile away.
+        None => stream(nest, params, map, &mut |addr| {
+            cache.access(addr);
+            ControlFlow::Continue(())
+        }),
+        Some(0) => (Ok(None), false),
+        Some(limit) => stream(nest, params, map, &mut |addr| {
+            if cache.access(addr) || cache.stats().misses < limit {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        }),
+    };
+    let result = run.map(|iterations| {
+        iterations.map(|iterations| SimResult {
+            stats: cache.stats(),
+            iterations,
+        })
+    });
     if tel.is_enabled() {
         if fell_back {
             tel.incr("cachesim/fallbacks");
         }
         match &result {
-            Ok(r) => {
+            Ok(Some(r)) => {
                 tel.incr("cachesim/simulations");
                 tel.count("cachesim/accesses", r.stats.accesses);
                 tel.count("cachesim/hits", r.stats.hits);
@@ -228,6 +339,7 @@ pub fn simulate_nest_observed(
                 tel.count("cachesim/iterations", r.iterations as u64);
                 tel.observe("cachesim/miss_ratio", r.stats.miss_ratio());
             }
+            Ok(None) => tel.incr("cachesim/bounded"),
             Err(_) => tel.incr("cachesim/trial_failures"),
         }
     }
@@ -293,6 +405,15 @@ mod tests {
         assert_eq!(report.counter("cachesim/accesses"), r.stats.accesses);
         assert_eq!(report.stats["cachesim/miss_ratio"].count, 1);
         assert_eq!(report.counter("cachesim/fallbacks"), 0);
+        // A run stopped at its miss limit counts only as bounded.
+        let limit = Some(r.stats.misses);
+        let stopped =
+            simulate_nest_bounded(&nest, &[("n", 512)], &map, CacheConfig::l1(), limit, &tel);
+        assert_eq!(stopped, Ok(None));
+        let report = tel.report();
+        assert_eq!(report.counter("cachesim/bounded"), 1);
+        assert_eq!(report.counter("cachesim/simulations"), 1);
+        assert_eq!(report.counter("cachesim/misses"), r.stats.misses);
         // A failed trial (unbound `n`) counts separately, and its error
         // comes from the reference path.
         simulate_nest_observed(&nest, &[], &map, CacheConfig::l1(), &tel).unwrap_err();

@@ -13,8 +13,9 @@
 //!
 //! That is only sound when no array value decides control flow, an address
 //! or an error, so [`Program::compile`] refuses every other nest. A run
-//! that meets any failure stops with [`Bail`]; the caller re-runs the
-//! reference path, which reports the failure exactly.
+//! that meets any failure stops with [`Halt::Bail`]; the caller re-runs the
+//! reference path, which reports the failure exactly. The sink may also
+//! end a run early ([`Halt::Stop`]), after any access.
 //!
 //! Subscripts and scalar right-hand sides built from constants, slots and
 //! wrapping `+ - ×` by a constant are lowered to the affine form
@@ -28,16 +29,22 @@
 
 use crate::layout::{AddressMap, ArrayDecl};
 use irlt_ir::{ArrayRef, Expr, LoopNest, Stmt, Symbol, Target};
+use std::ops::ControlFlow;
 
 /// The iteration cap of a default `irlt_interp::Executor`, which the
 /// reference path runs with.
 const ITERATION_CAP: usize = 10_000_000;
 
-/// A streaming run met a failure (unbound variable, zero step, division
-/// by zero, iteration cap, undeclared array, rank mismatch or
-/// out-of-bounds subscript).
+/// Why a streaming run ended before the nest did.
 #[derive(Debug)]
-pub(crate) struct Bail;
+pub(crate) enum Halt {
+    /// It met a failure (unbound variable, zero step, division by zero,
+    /// iteration cap, undeclared array, rank mismatch or out-of-bounds
+    /// subscript).
+    Bail,
+    /// The sink asked it to stop.
+    Stop,
+}
 
 /// A read-free integer expression over slots, with the reference
 /// evaluator's arithmetic (wrapping `+ - *`, floor division).
@@ -57,15 +64,15 @@ enum Scalar {
 }
 
 impl Scalar {
-    fn eval(&self, slots: &[Option<i64>]) -> Result<i64, Bail> {
+    fn eval(&self, slots: &[Option<i64>]) -> Result<i64, Halt> {
         Ok(match self {
             Scalar::Const(v) => *v,
-            Scalar::Slot(s) => slots[*s].ok_or(Bail)?,
+            Scalar::Slot(s) => slots[*s].ok_or(Halt::Bail)?,
             Scalar::Arith(op, a, b) => op(a.eval(slots)?, b.eval(slots)?),
             Scalar::Div(op, a, b) => {
                 let d = b.eval(slots)?;
                 if d == 0 {
-                    return Err(Bail);
+                    return Err(Halt::Bail);
                 }
                 op(a.eval(slots)?, d)
             }
@@ -104,10 +111,10 @@ struct Affine {
 }
 
 impl Affine {
-    fn eval(&self, slots: &[Option<i64>]) -> Result<i64, Bail> {
+    fn eval(&self, slots: &[Option<i64>]) -> Result<i64, Halt> {
         let mut v = self.c;
         for &(s, k) in &self.terms {
-            v = v.wrapping_add(k.wrapping_mul(slots[s].ok_or(Bail)?));
+            v = v.wrapping_add(k.wrapping_mul(slots[s].ok_or(Halt::Bail)?));
         }
         Ok(v)
     }
@@ -352,12 +359,13 @@ impl<'m> Program<'m> {
     }
 
     /// Runs the program, feeding every access's byte address to `sink`,
-    /// and returns the number of innermost iterations.
+    /// and returns the number of innermost iterations. Ends with
+    /// [`Halt::Stop`] right after an access for which `sink` breaks.
     pub(crate) fn run(
         &self,
         params: &[(&str, i64)],
-        sink: &mut impl FnMut(u64),
-    ) -> Result<usize, Bail> {
+        sink: &mut impl FnMut(u64) -> ControlFlow<()>,
+    ) -> Result<usize, Halt> {
         let mut slots = vec![None; self.names.len()];
         for &(name, value) in params {
             if let Some(s) = self.names.iter().position(|n| n.as_str() == name) {
@@ -554,12 +562,12 @@ struct Run<'s, F> {
     sink: &'s mut F,
 }
 
-impl<F: FnMut(u64)> Run<'_, F> {
-    fn level(&mut self, p: &Program<'_>, k: usize) -> Result<(), Bail> {
+impl<F: FnMut(u64) -> ControlFlow<()>> Run<'_, F> {
+    fn level(&mut self, p: &Program<'_>, k: usize) -> Result<(), Halt> {
         let Some(l) = p.levels.get(k) else {
             self.iterations += 1;
             if self.iterations > ITERATION_CAP {
-                return Err(Bail);
+                return Err(Halt::Bail);
             }
             for op in &p.body {
                 self.op(op)?;
@@ -570,7 +578,7 @@ impl<F: FnMut(u64)> Run<'_, F> {
         let hi = l.upper.eval(&self.slots)?;
         let step = l.step.eval(&self.slots)?;
         if step == 0 {
-            return Err(Bail);
+            return Err(Halt::Bail);
         }
         if k + 1 == p.levels.len() {
             if let Some(kernel) = &p.kernel {
@@ -603,7 +611,7 @@ impl<F: FnMut(u64)> Run<'_, F> {
         lo: i64,
         hi: i64,
         step: i64,
-    ) -> Result<bool, Bail> {
+    ) -> Result<bool, Halt> {
         let span = if step > 0 {
             hi.checked_sub(lo)
         } else {
@@ -621,7 +629,7 @@ impl<F: FnMut(u64)> Run<'_, F> {
             }
             let trip = steps as usize + 1;
             if trip > ITERATION_CAP - self.iterations {
-                return Err(Bail);
+                return Err(Halt::Bail);
             }
             self.cursors.clear();
             for a in &kernel.accesses {
@@ -641,7 +649,9 @@ impl<F: FnMut(u64)> Run<'_, F> {
             self.iterations += trip;
             for _ in 0..trip {
                 for (addr, delta) in &mut self.cursors {
-                    (self.sink)(*addr);
+                    if (self.sink)(*addr).is_break() {
+                        return Err(Halt::Stop);
+                    }
                     *addr = addr.wrapping_add(*delta);
                 }
             }
@@ -668,7 +678,7 @@ impl<F: FnMut(u64)> Run<'_, F> {
         a.decl.locate(&self.index)
     }
 
-    fn op(&mut self, op: &Op<'_>) -> Result<(), Bail> {
+    fn op(&mut self, op: &Op<'_>) -> Result<(), Halt> {
         match op {
             Op::Guard(cond, then) => {
                 if cond.eval(&self.slots)? != 0 {
@@ -684,7 +694,7 @@ impl<F: FnMut(u64)> Run<'_, F> {
                         }
                         Effect::Divisor(s) => {
                             if s.eval(&self.slots)? == 0 {
-                                return Err(Bail);
+                                return Err(Halt::Bail);
                             }
                         }
                         Effect::Read(a) => self.access(a)?,
@@ -696,13 +706,18 @@ impl<F: FnMut(u64)> Run<'_, F> {
         Ok(())
     }
 
-    fn access(&mut self, a: &Access<'_>) -> Result<(), Bail> {
+    fn access(&mut self, a: &Access<'_>) -> Result<(), Halt> {
         self.index.clear();
         for s in &a.subscripts {
             self.index.push(s.eval(&self.slots)?);
         }
-        let addr = a.decl.and_then(|d| d.locate(&self.index)).ok_or(Bail)?;
-        (self.sink)(addr);
+        let addr = a
+            .decl
+            .and_then(|d| d.locate(&self.index))
+            .ok_or(Halt::Bail)?;
+        if (self.sink)(addr).is_break() {
+            return Err(Halt::Stop);
+        }
         Ok(())
     }
 }
@@ -763,7 +778,7 @@ mod tests {
             let nest = parse_nest("do i = 1, n\n x = i\nenddo").unwrap();
             Program::compile(&nest, &map)
                 .expect("streams")
-                .run(&[("n", n)], &mut |_| {})
+                .run(&[("n", n)], &mut |_| ControlFlow::Continue(()))
         };
         assert_eq!(run(ITERATION_CAP as i64).unwrap(), ITERATION_CAP);
         run(ITERATION_CAP as i64 + 1).unwrap_err();

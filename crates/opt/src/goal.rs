@@ -5,7 +5,7 @@
 //! optimize loop nests for data locality, parallel execution, and vector
 //! execution" — these are exactly the three goals here.
 
-use irlt_cachesim::{simulate_nest_observed, AddressMap, CacheConfig};
+use irlt_cachesim::{lines_touched, simulate_nest_bounded, AddressMap, CacheConfig};
 use irlt_ir::{LoopKind, LoopNest};
 use irlt_obs::Telemetry;
 use std::fmt;
@@ -46,6 +46,24 @@ pub struct LocalityGoal {
     pub cache: CacheConfig,
 }
 
+impl LocalityGoal {
+    fn params(&self) -> Vec<(&str, i64)> {
+        self.params.iter().map(|(k, v)| (k.as_str(), *v)).collect()
+    }
+}
+
+/// What a trial that only matters above a bound decided (see
+/// [`Goal::score_above`]).
+#[derive(Debug, PartialEq)]
+pub(crate) enum Trial {
+    /// The exact score ([`Goal::score_observed`]): `None` when the
+    /// candidate cannot be scored.
+    Scored(Option<f64>),
+    /// The candidate scores at most the bound, if it can be scored at
+    /// all: its trial stopped as soon as that was certain.
+    Cut,
+}
+
 impl Goal {
     /// Scores a transformed nest (higher is better). Locality scoring
     /// executes the nest; structural goals inspect loop kinds only.
@@ -59,15 +77,39 @@ impl Goal {
     /// export their cache counters through `tel` under `cachesim/*`. With
     /// a disabled handle this is exactly [`Goal::score`].
     pub fn score_observed(&self, nest: &LoopNest, tel: &Telemetry) -> Option<f64> {
-        match self {
-            Goal::OuterParallel | Goal::InnerParallel => self.score_kinds(&nest.kinds()),
-            Goal::Locality(cfg) => {
-                let params: Vec<(&str, i64)> =
-                    cfg.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-                let r = simulate_nest_observed(nest, &params, &cfg.map, cfg.cache, tel).ok()?;
-                Some(-(r.stats.misses as f64))
-            }
+        match self.score_above(nest, tel, f64::NEG_INFINITY) {
+            Trial::Scored(score) => score,
+            Trial::Cut => unreachable!("no trial is cut without a bound"),
         }
+    }
+
+    /// [`Goal::score_observed`] for a candidate that matters only if it
+    /// scores above `bound`. A locality trial stops as soon as its misses
+    /// reach `-bound`, since misses only grow and the score is minus the
+    /// misses; a structural goal always scores exactly.
+    pub(crate) fn score_above(&self, nest: &LoopNest, tel: &Telemetry, bound: f64) -> Trial {
+        let Goal::Locality(cfg) = self else {
+            return Trial::Scored(self.score_kinds(&nest.kinds()));
+        };
+        let miss_limit = bound.is_finite().then(|| (-bound) as u64);
+        match simulate_nest_bounded(nest, &cfg.params(), &cfg.map, cfg.cache, miss_limit, tel) {
+            Ok(Some(r)) => Trial::Scored(Some(-(r.stats.misses as f64))),
+            Ok(None) => Trial::Cut,
+            Err(_) => Trial::Scored(None),
+        }
+    }
+
+    /// A score no legal transformation of `nest` can beat, when the goal
+    /// knows one cheaply. For locality it is minus the lines `nest`
+    /// touches: a legal sequence only reorders the iterations of an
+    /// untouched body, so every candidate touches exactly those lines,
+    /// and from a cold cache each of them misses at least once.
+    pub(crate) fn ceiling(&self, nest: &LoopNest) -> Option<f64> {
+        let Goal::Locality(cfg) = self else {
+            return None;
+        };
+        let lines = lines_touched(nest, &cfg.params(), &cfg.map, cfg.cache.line_bytes).ok()?;
+        Some(-(lines as f64))
     }
 
     /// Scores a nest's loop kinds (outermost first) under a structural
@@ -155,6 +197,36 @@ mod tests {
             },
         });
         assert!(g.score(&by_col).unwrap() > g.score(&by_row).unwrap());
+    }
+
+    #[test]
+    fn locality_bounds_are_exact_at_their_edges() {
+        // Walked column by column, the copy misses each of its
+        // 2 × 32 × 32 × 8 B / 64 B = 256 lines exactly once: its score is
+        // its ceiling.
+        let nest =
+            parse_nest("do j = 1, n\n do i = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo").unwrap();
+        let mut map = AddressMap::new(Order::ColMajor, 8);
+        map.declare("a", &[32, 32]).declare("b", &[32, 32]);
+        let g = Goal::Locality(LocalityGoal {
+            params: vec![("n".into(), 32)],
+            map,
+            cache: CacheConfig {
+                size_bytes: 2048,
+                line_bytes: 64,
+                associativity: 2,
+            },
+        });
+        assert_eq!(g.ceiling(&nest), Some(-256.0));
+        assert_eq!(g.score(&nest), Some(-256.0));
+        // A trial is cut exactly when it cannot score above the bound.
+        let tel = Telemetry::disabled();
+        assert_eq!(
+            g.score_above(&nest, &tel, -257.0),
+            Trial::Scored(Some(-256.0))
+        );
+        assert_eq!(g.score_above(&nest, &tel, -256.0), Trial::Cut);
+        assert_eq!(Goal::OuterParallel.ceiling(&nest), None);
     }
 
     #[test]

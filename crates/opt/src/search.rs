@@ -41,9 +41,21 @@
 //! dedup set is compared with the best when it enters, and equal shapes
 //! score equally (a locality trial nest is the shape plus the untouched
 //! body), so a repeated shape never beats the best.
+//!
+//! The last depth is also bounded. A leaf matters only if it scores
+//! strictly above the best at the start of the depth: the merge replaces
+//! the best only on a strictly greater score, and the best only rises
+//! while it merges. When that best already reaches the goal's ceiling
+//! ([`Goal::ceiling`]: for locality, minus the lines the original nest
+//! touches, its compulsory misses) no leaf can, so each is decided by
+//! [`SeqState::admits`] alone, with no code and no trial. Otherwise a
+//! locality leaf's trial stops as soon as its misses reach the best's
+//! ([`Goal::score_above`]). A leaf decided either way still counts as
+//! explored and legal; interior nodes always score exactly, because the
+//! beam order depends on their scores.
 
 use crate::cancel::CancelToken;
-use crate::goal::Goal;
+use crate::goal::{Goal, Trial};
 use crate::moves::MoveCatalog;
 use irlt_core::{
     ExtendError, IllegalReason, KeyedMove, Move, SeqState, SharedLegalityCache, Template,
@@ -174,11 +186,11 @@ struct Node {
 
 impl Node {
     /// The root node of a search of `nest` under `goal`. Locality scoring
-    /// must execute the real body; structural goals only need the
-    /// (body-less) root shape.
-    fn root(state: SeqState, nest: &LoopNest, goal: &Goal) -> Node {
+    /// must execute the real body (its trial reports through `tel`);
+    /// structural goals only need the (body-less) root shape.
+    fn root(state: SeqState, nest: &LoopNest, goal: &Goal, tel: &Telemetry) -> Node {
         let (score, nest) = match goal {
-            Goal::Locality(_) => (goal.score(nest), Some(Arc::new(nest.clone()))),
+            Goal::Locality(_) => (goal.score_observed(nest, tel), Some(Arc::new(nest.clone()))),
             _ => (goal.score(state.shape()), None),
         };
         Node {
@@ -225,9 +237,45 @@ enum Outcome {
     /// Legal and scored at the last depth, where no child state is
     /// built: the score only.
     Leaf(f64),
+    /// Legal at the last depth, and certain not to beat the best: decided
+    /// without a full trial.
+    Bounded(Bound),
     /// The cancel token fired before this job was evaluated: not counted
     /// anywhere (the search is winding down).
     Cancelled,
+}
+
+/// How a leaf was shown not to beat the best (see [`LastDepth`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Bound {
+    /// The best had reached the goal's ceiling: no trial ran.
+    Floor,
+    /// Its trial stopped once its score could no longer beat the best.
+    Cutoff,
+}
+
+/// What the last depth knows before it starts, so that a leaf is only
+/// scored as far as it could still matter.
+#[derive(Clone, Copy, Debug)]
+struct LastDepth {
+    /// The best score at the start of the depth. The merge replaces the
+    /// best only on a strictly greater score and the best only rises, so
+    /// a leaf that scores at most this never replaces it.
+    bound: f64,
+    /// `bound` reaches the goal's ceiling: no legal leaf can score above
+    /// it.
+    settled: bool,
+}
+
+impl LastDepth {
+    /// The last depth of a search of `nest` whose best score is `best`
+    /// when the depth starts.
+    fn new(goal: &Goal, nest: &LoopNest, best: f64) -> LastDepth {
+        LastDepth {
+            bound: best,
+            settled: goal.ceiling(nest).is_some_and(|ceiling| best >= ceiling),
+        }
+    }
 }
 
 fn reject_kind(reason: &IllegalReason) -> RejectKind {
@@ -245,16 +293,16 @@ struct EvalCtx<'a> {
     goal: &'a Goal,
     tel: &'a Telemetry,
     cancel: Option<&'a CancelToken>,
-    /// This is the search's last depth: its legal candidates are never
-    /// extended, so they are decided and scored without a child state.
-    leaf: bool,
+    /// `Some` at the search's last depth: its legal candidates are never
+    /// extended, so they are decided and scored without a child state,
+    /// and only as far as they could still beat the best.
+    leaf: Option<LastDepth>,
 }
 
 fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>) -> Outcome {
-    let child = if ctx.leaf {
-        parent.state.admits(mv).map(|()| None)
-    } else {
-        parent.state.extend(mv).map(Some)
+    let child = match ctx.leaf {
+        Some(_) => parent.state.admits(mv).map(|()| None),
+        None => parent.state.extend(mv).map(Some),
     };
     let template = mv.template();
     let child = match child {
@@ -262,14 +310,21 @@ fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>) -> Outcom
         Err(ExtendError::Illegal(reason)) => return Outcome::Tested(reject_kind(&reason)),
         Ok(child) => child,
     };
+    if ctx.leaf.is_some_and(|last| last.settled) {
+        return Outcome::Bounded(Bound::Floor);
+    }
     let (score, nest) = match ctx.goal {
         // `TransformSeq::apply` folds `apply_to` over the steps, so
         // applying the new template to the parent's nest gives the
         // child's nest exactly.
         Goal::Locality(_) => {
             let parent_nest = parent.nest.as_ref().expect("locality nodes carry a nest");
+            let bound = ctx.leaf.map_or(f64::NEG_INFINITY, |last| last.bound);
             match template.apply_to(parent_nest) {
-                Ok(out) => (ctx.goal.score_observed(&out, ctx.tel), Some(out)),
+                Ok(out) => match ctx.goal.score_above(&out, ctx.tel, bound) {
+                    Trial::Scored(score) => (score, Some(out)),
+                    Trial::Cut => return Outcome::Bounded(Bound::Cutoff),
+                },
                 Err(_) => (None, None),
             }
         }
@@ -355,7 +410,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     if let Some(cache) = &config.shared {
         state = state.with_shared(cache.clone(), config.owner);
     }
-    let root = Node::root(state, nest, goal);
+    let root = Node::root(state, nest, goal, tel);
     if tel.is_enabled() {
         tel.count("search/beam_width", config.beam_width as u64);
         tel.count("search/max_steps", config.max_steps as u64);
@@ -401,7 +456,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             goal,
             tel,
             cancel: config.cancel.as_ref(),
-            leaf: depth + 1 == config.max_steps,
+            leaf: (depth + 1 == config.max_steps).then(|| LastDepth::new(goal, nest, best.score)),
         };
         let expand_start = tel.is_enabled().then(Instant::now);
         let outcomes = expand(&frontier, &jobs, ctx);
@@ -409,7 +464,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         // Per-depth beam statistics, accumulated in plain locals so the
         // merge loop never touches the sink, then recorded once per depth.
         let (mut n_arity, mut n_pre, mut n_codegen, mut n_lexneg) = (0u64, 0u64, 0u64, 0u64);
-        let (mut n_unscored, mut n_legal, mut n_deduped) = (0u64, 0u64, 0u64);
+        let (mut n_unscored, mut n_legal, mut n_deduped, mut n_floor) = (0u64, 0u64, 0u64, 0u64);
         let mut next: Vec<Node> = Vec::new();
         for (outcome, &(si, mv)) in outcomes.into_iter().zip(&jobs) {
             match outcome {
@@ -451,6 +506,16 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
                         best = leaf_candidate(&frontier[si], mv.template(), score);
                     }
                 }
+                // A leaf whose trial stopped at the cutoff was simulated
+                // and is counted with the scored ones.
+                Outcome::Bounded(bound) => {
+                    explored += 1;
+                    legal += 1;
+                    match bound {
+                        Bound::Floor => n_floor += 1,
+                        Bound::Cutoff => n_legal += 1,
+                    }
+                }
                 Outcome::Cancelled => timed_out = true,
             }
         }
@@ -465,6 +530,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             tel.count(&format!("{d}/lex_negative_rejected"), n_lexneg);
             tel.count(&format!("{d}/legal"), n_legal);
             tel.count(&format!("{d}/legal_unscored"), n_unscored);
+            tel.count(&format!("{d}/leaf_bounded"), n_floor);
             tel.count(&format!("{d}/shape_deduped"), n_deduped);
             tel.count(&format!("{d}/beam_kept"), next.len() as u64);
             for node in &next {
@@ -506,6 +572,9 @@ mod tests {
     const STENCIL: &str =
         "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo";
     const MATMUL: &str = "do i = 1, n\n do j = 1, n\n  do k = 1, n\n   A(i, j) = A(i, j) + B(i, k) * C(k, j)\n  enddo\n enddo\nenddo";
+    const COPY: &str = "do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo";
+    const WAVEFRONT: &str =
+        "do i = 2, n\n do j = 2, n\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo";
 
     #[test]
     fn finds_inner_parallelism_for_vectorization() {
@@ -749,6 +818,7 @@ mod tests {
             Outcome::LegalUnscored => Verdict::LegalUnscored,
             Outcome::Legal(node) => legal(node.candidate()),
             Outcome::Leaf(score) => legal(leaf_candidate(parent, template, score)),
+            Outcome::Bounded(_) => unreachable!("bounded leaves are checked on their own"),
             Outcome::Cancelled => unreachable!("no cancel token"),
         }
     }
@@ -788,27 +858,37 @@ mod tests {
         }
     }
 
+    /// The totals of one [`check_every_pair_against_is_legal`] walk.
+    #[derive(Debug, Default)]
+    struct Walk {
+        explored: usize,
+        legal: usize,
+        /// Leaves decided by the floor, with no trial.
+        floor: usize,
+        /// Leaves whose trial stopped at the cutoff.
+        cutoff: usize,
+    }
+
     /// Walks the search's frontier depth by depth (same dedup, ordering,
-    /// truncation and last-depth leaf evaluation as [`search`]) and
-    /// checks every `(frontier node, move)` pair against
-    /// [`reference_evaluate`]. Returns the walk's `(explored, legal)`
-    /// totals.
-    fn check_every_pair_against_is_legal(
-        nest: &LoopNest,
-        goal: &Goal,
-        cfg: &SearchConfig,
-    ) -> (usize, usize) {
+    /// truncation, best tracking and last-depth leaf evaluation as
+    /// [`search`]) and checks every `(frontier node, move)` pair against
+    /// [`reference_evaluate`]. A scored pair must match it exactly; a
+    /// bounded leaf is accepted only if the full reference trial could not
+    /// beat the bound: it is unscorable or scores at most the bound.
+    fn check_every_pair_against_is_legal(nest: &LoopNest, goal: &Goal, cfg: &SearchConfig) -> Walk {
         let deps = analyze_dependences(nest);
         let tel = Telemetry::disabled();
-        let mut frontier = vec![Node::root(SeqState::root(nest, &deps), nest, goal)];
-        let (mut explored, mut legal) = (0, 0);
+        let mut frontier = vec![Node::root(SeqState::root(nest, &deps), nest, goal, &tel)];
+        let mut best = frontier[0].score;
+        let mut walk = Walk::default();
         let mut seen = HashSet::new();
         for depth in 0..cfg.max_steps {
+            let last = (depth + 1 == cfg.max_steps).then(|| LastDepth::new(goal, nest, best));
             let ctx = EvalCtx {
                 goal,
                 tel: &tel,
                 cancel: None,
-                leaf: depth + 1 == cfg.max_steps,
+                leaf: last,
             };
             let mut next = Vec::new();
             for node in &frontier {
@@ -816,6 +896,27 @@ mod tests {
                     let expected =
                         reference_evaluate(node.state.seq(), t.clone(), nest, &deps, goal);
                     let outcome = evaluate(node, &t, ctx);
+                    if let Outcome::Bounded(kind) = outcome {
+                        let bound = last.expect("only leaves are bounded").bound;
+                        assert!(
+                            match &expected {
+                                Verdict::LegalUnscored => true,
+                                Verdict::Legal { score_bits, .. } => {
+                                    f64::from_bits(*score_bits) <= bound
+                                }
+                                _ => false,
+                            },
+                            "{} + {t}: {kind:?} leaf, bound {bound}, reference {expected:?}",
+                            node.state.seq()
+                        );
+                        walk.explored += 1;
+                        walk.legal += 1;
+                        match kind {
+                            Bound::Floor => walk.floor += 1,
+                            Bound::Cutoff => walk.cutoff += 1,
+                        }
+                        continue;
+                    }
                     if let Outcome::Legal(child) = &outcome {
                         if seen.insert(child.state.shape_key()) {
                             next.push(child.clone());
@@ -823,11 +924,14 @@ mod tests {
                     }
                     let got = verdict(outcome, node, &t);
                     assert_eq!(got, expected, "{} + {t}", node.state.seq());
-                    explored += usize::from(got != Verdict::Rejected);
-                    legal += usize::from(matches!(
+                    walk.explored += usize::from(got != Verdict::Rejected);
+                    walk.legal += usize::from(matches!(
                         got,
                         Verdict::Legal { .. } | Verdict::LegalUnscored
                     ));
+                    if let Verdict::Legal { score_bits, .. } = got {
+                        best = best.max(f64::from_bits(score_bits));
+                    }
                 }
             }
             next.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
@@ -837,7 +941,7 @@ mod tests {
             }
             frontier = next;
         }
-        (explored, legal)
+        walk
     }
 
     #[test]
@@ -849,8 +953,7 @@ mod tests {
         };
         for src in [STENCIL, MATMUL] {
             let nest = parse_nest(src).unwrap();
-            let (explored, legal) =
-                check_every_pair_against_is_legal(&nest, &Goal::OuterParallel, &cfg);
+            let walk = check_every_pair_against_is_legal(&nest, &Goal::OuterParallel, &cfg);
             // The walk is the search's own frontier: same counters.
             let r = search(
                 &nest,
@@ -858,14 +961,17 @@ mod tests {
                 &Goal::OuterParallel,
                 &cfg,
             );
-            assert_eq!((explored, legal), (r.explored, r.legal), "{src}");
+            assert_eq!((walk.explored, walk.legal), (r.explored, r.legal), "{src}");
             // Both verdicts occur, so both arms were compared.
-            assert!(legal > 0 && legal < explored, "{src}");
+            assert!(walk.legal > 0 && walk.legal < walk.explored, "{src}");
+            // Structural leaves are cheap to score and never bounded.
+            assert_eq!((walk.floor, walk.cutoff), (0, 0), "{src}");
         }
     }
 
-    /// The locality workload's goal for `n × n` column-major `arrays`.
-    fn locality_goal(n: i64, arrays: &[&str]) -> Goal {
+    /// A goal for `n × n` column-major `arrays` on a 64 B-line, 2-way
+    /// cache of `size_bytes`.
+    fn locality_goal_sized(n: i64, arrays: &[&str], size_bytes: usize) -> Goal {
         let mut map = AddressMap::new(Order::ColMajor, 8);
         for a in arrays {
             map.declare(*a, &[n as u64, n as u64]);
@@ -874,42 +980,167 @@ mod tests {
             params: vec![("n".into(), n)],
             map,
             cache: CacheConfig {
-                size_bytes: 512,
+                size_bytes,
                 line_bytes: 64,
                 associativity: 2,
             },
         })
     }
 
-    #[test]
-    fn locality_children_score_as_the_whole_sequence_applied_from_scratch() {
-        // A locality node applies one template to its parent's nest; the
-        // reference applies the child's whole sequence to the original.
-        let cfg = SearchConfig {
+    fn locality_goal(n: i64, arrays: &[&str]) -> Goal {
+        locality_goal_sized(n, arrays, 512)
+    }
+
+    /// The locality workload's search configuration.
+    fn locality_config() -> SearchConfig {
+        SearchConfig {
             catalog: MoveCatalog::locality(),
             max_steps: 2,
             beam_width: 4,
             ..SearchConfig::default()
-        };
-        for (src, arrays) in [
-            (
-                "do i = 1, n\n do j = 1, n\n  b(i, j) = a(i, j)\n enddo\nenddo",
-                &["a", "b"][..],
-            ),
-            (STENCIL, &["a"][..]),
+        }
+    }
+
+    #[test]
+    fn locality_children_score_as_the_whole_sequence_applied_from_scratch() {
+        // A locality node applies one template to its parent's nest; the
+        // reference applies the child's whole sequence to the original.
+        // The copy's best reaches the floor at depth 0, so its leaves are
+        // decided without trials; the stencil's and matmul's do not, so
+        // their leaves' trials stop at the cutoff.
+        let cfg = locality_config();
+        let mut bounded = Walk::default();
+        for (src, n, arrays) in [
+            (COPY, 12, &["a", "b"][..]),
+            (STENCIL, 12, &["a"][..]),
+            (MATMUL, 6, &["A", "B", "C"][..]),
         ] {
             let nest = parse_nest(src).unwrap();
-            let goal = locality_goal(12, arrays);
-            let (explored, legal) = check_every_pair_against_is_legal(&nest, &goal, &cfg);
+            let goal = locality_goal(n, arrays);
+            let walk = check_every_pair_against_is_legal(&nest, &goal, &cfg);
             let results = run_all_modes(&nest, &analyze_dependences(&nest), &goal, &cfg);
             assert_identical(&results);
             assert_eq!(
-                (explored, legal),
+                (walk.explored, walk.legal),
                 (results[0].explored, results[0].legal),
                 "{src}"
             );
-            assert!(legal > 0, "{src}");
+            assert!(walk.legal > 0, "{src}");
+            bounded.floor += walk.floor;
+            bounded.cutoff += walk.cutoff;
         }
+        // Both bounds were exercised.
+        assert!(bounded.floor > 0 && bounded.cutoff > 0, "{bounded:?}");
+    }
+
+    /// The perfbench `locality` classes and a matmul whose best never
+    /// reaches the floor: `(label, source, n, arrays, cache bytes)`.
+    const LOCALITY_PINS: [(&str, &str, i64, &[&str], usize); 6] = [
+        ("copy17", COPY, 17, &["a", "b"], 2048),
+        ("copy24", COPY, 24, &["a", "b"], 2048),
+        ("copy32", COPY, 32, &["a", "b"], 2048),
+        ("wavefront24", WAVEFRONT, 24, &["a"], 2048),
+        ("wavefront32", WAVEFRONT, 32, &["a"], 2048),
+        ("matmul10", MATMUL, 10, &["A", "B", "C"], 1024),
+    ];
+
+    #[test]
+    fn locality_searches_return_what_unbounded_leaves_returned() {
+        // Each search's result before its last depth was bounded: the
+        // best sequence, its score bits, and the explored and legal
+        // counts, pinned as literals.
+        let pins: [(&str, u64, usize, usize); 6] = [
+            (
+                "⟨ReversePermute(n=2, rev=[F F], perm=[1 0])⟩",
+                0xc052_8000_0000_0000,
+                173,
+                166,
+            ),
+            (
+                "⟨ReversePermute(n=2, rev=[F F], perm=[1 0])⟩",
+                0xc062_0000_0000_0000,
+                173,
+                166,
+            ),
+            (
+                "⟨ReversePermute(n=2, rev=[F F], perm=[1 0])⟩",
+                0xc070_0000_0000_0000,
+                129,
+                124,
+            ),
+            (
+                "⟨ReversePermute(n=2, rev=[F F], perm=[1 0])⟩",
+                0xc052_0000_0000_0000,
+                129,
+                98,
+            ),
+            (
+                "⟨ReversePermute(n=2, rev=[F F], perm=[1 0])⟩",
+                0xc060_0000_0000_0000,
+                129,
+                98,
+            ),
+            (
+                "⟨ReversePermute(n=3, rev=[F F F], perm=[2 1 0]); \
+                 ReversePermute(n=3, rev=[F F F], perm=[1 0 2])⟩",
+                0xc076_9000_0000_0000,
+                293,
+                255,
+            ),
+        ];
+        for ((label, src, n, arrays, size_bytes), (seq, score_bits, explored, legal)) in
+            LOCALITY_PINS.into_iter().zip(pins)
+        {
+            let nest = parse_nest(src).unwrap();
+            let goal = locality_goal_sized(n, arrays, size_bytes);
+            let r = search(
+                &nest,
+                &analyze_dependences(&nest),
+                &goal,
+                &locality_config(),
+            );
+            assert_eq!(r.best.seq.to_string(), seq, "{label}");
+            assert_eq!(r.best.score.to_bits(), score_bits, "{label}");
+            assert_eq!((r.explored, r.legal), (explored, legal), "{label}");
+        }
+    }
+
+    #[test]
+    fn last_depth_settles_exactly_at_the_ceiling() {
+        // The copy's ceiling is minus its 256 compulsory misses.
+        let (_, src, n, arrays, size_bytes) = LOCALITY_PINS[2];
+        let nest = parse_nest(src).unwrap();
+        let goal = locality_goal_sized(n, arrays, size_bytes);
+        assert!(LastDepth::new(&goal, &nest, -256.0).settled);
+        assert!(!LastDepth::new(&goal, &nest, -257.0).settled);
+        assert!(!LastDepth::new(&Goal::OuterParallel, &nest, f64::INFINITY).settled);
+    }
+
+    #[test]
+    fn copy32_leaves_run_no_trials() {
+        // The best at depth 0 already has the copy's compulsory misses, so
+        // every trial is the root's or an interior node's, and every legal
+        // leaf is decided by the floor.
+        let (_, src, n, arrays, size_bytes) = LOCALITY_PINS[2];
+        let nest = parse_nest(src).unwrap();
+        let tel = Telemetry::enabled();
+        let cfg = SearchConfig {
+            telemetry: tel.clone(),
+            ..locality_config()
+        };
+        let goal = locality_goal_sized(n, arrays, size_bytes);
+        let r = search(&nest, &analyze_dependences(&nest), &goal, &cfg);
+        let t = tel.report();
+        let interior =
+            t.counter("search/depth.0/legal") + t.counter("search/depth.0/legal_unscored");
+        assert!(interior > 0, "{t:?}");
+        assert_eq!(t.counter("cachesim/simulations"), 1 + interior, "{t:?}");
+        assert_eq!(t.counter("cachesim/bounded"), 0, "{t:?}");
+        assert_eq!(
+            t.counter("search/depth.1/leaf_bounded"),
+            r.legal as u64 - interior
+        );
+        assert_eq!(t.counter("search/depth.1/legal"), 0, "{t:?}");
     }
 
     #[test]
@@ -946,9 +1177,18 @@ mod tests {
         // `explored`.
         let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let deps = analyze_dependences(&nest);
-        let root = Node::root(SeqState::root(&nest, &deps), &nest, &Goal::OuterParallel);
         let tel = Telemetry::disabled();
-        for leaf in [false, true] {
+        let root = Node::root(
+            SeqState::root(&nest, &deps),
+            &nest,
+            &Goal::OuterParallel,
+            &tel,
+        );
+        let last = LastDepth {
+            bound: f64::NEG_INFINITY,
+            settled: false,
+        };
+        for leaf in [None, Some(last)] {
             let ctx = EvalCtx {
                 goal: &Goal::OuterParallel,
                 tel: &tel,
@@ -991,7 +1231,8 @@ mod tests {
                 + r.counter(&format!("{d}/codegen_rejected"))
                 + r.counter(&format!("{d}/lex_negative_rejected"))
                 + r.counter(&format!("{d}/legal"))
-                + r.counter(&format!("{d}/legal_unscored"));
+                + r.counter(&format!("{d}/legal_unscored"))
+                + r.counter(&format!("{d}/leaf_bounded"));
             assert_eq!(
                 parts,
                 r.counter(&format!("{d}/candidates")),

@@ -8,15 +8,20 @@
 //! no more allocations than one long range. This binary pins that with a
 //! counting `#[global_allocator]`: simulating each nest at `n = 16` and
 //! at `n = 64` (16× the accesses) must perform the same number of heap
-//! allocations.
+//! allocations. So must a simulation bounded at half the nest's misses,
+//! which stops early, and the pass that counts the lines a nest touches
+//! (one bitmap, larger at `n = 64` but allocated once).
 //!
 //! Allocation counting is process-global, so this file stays a single
 //! `#[test]` in its own integration-test binary.
 
-use irlt_cachesim::{simulate_nest, AddressMap, CacheConfig, Order};
+use irlt_cachesim::{
+    lines_touched, simulate_nest, simulate_nest_bounded, AddressMap, CacheConfig, Order,
+};
 use irlt_core::TransformSeq;
 use irlt_harness::alloc_counter::{count_allocations, install, CountingAlloc};
 use irlt_ir::{parse_nest, Expr};
+use irlt_obs::Telemetry;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -41,20 +46,31 @@ fn simulation_allocations_do_not_grow_with_accesses() {
         associativity: 2,
     };
     for (label, nest) in [("copy", &copy), ("tiled", &tiled), ("skewed", &skewed)] {
+        // Allocations of the whole run, the bounded run and the line count.
         let allocations = |n: i64| {
+            let params = [("n", n)];
             let mut map = AddressMap::new(Order::ColMajor, 8);
             map.declare("a", &[n as u64, n as u64])
                 .declare("b", &[n as u64, n as u64]);
-            let (allocs, r) = count_allocations(|| simulate_nest(nest, &[("n", n)], &map, cache));
+            let (whole, r) = count_allocations(|| simulate_nest(nest, &params, &map, cache));
             let r = r.unwrap_or_else(|e| panic!("{label} simulates: {e}"));
             assert_eq!(r.stats.accesses, 2 * (n * n) as u64, "{label}");
-            allocs
+            let limit = Some(r.stats.misses / 2);
+            let disabled = Telemetry::disabled();
+            let (bounded, stopped) = count_allocations(|| {
+                simulate_nest_bounded(nest, &params, &map, cache, limit, &disabled)
+            });
+            assert_eq!(stopped, Ok(None), "{label} stops at half its misses");
+            let (floor, lines) = count_allocations(|| lines_touched(nest, &params, &map, 64));
+            assert_eq!(lines, Ok(2 * (n * n) as u64 / 8), "{label}");
+            [whole, bounded, floor]
         };
         let small = allocations(16);
         let large = allocations(64);
         assert_eq!(
             small, large,
-            "{label}: simulate_nest allocations grew from {small} at n = 16 to {large} at n = 64"
+            "{label}: [whole, bounded, line count] allocations grew from {small:?} at n = 16 \
+             to {large:?} at n = 64"
         );
     }
 }

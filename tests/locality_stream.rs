@@ -8,13 +8,24 @@
 //! counter must show which path served it: the streaming executor for
 //! every nest whose addresses and control flow are array-value-free and
 //! that runs without error, the reference path for everything else.
+//! Every input is also simulated with miss limits around its miss count
+//! (`simulate_nest_bounded`), which must stop exactly when the whole run
+//! reaches the limit and otherwise return the whole run's result.
+//!
+//! The locality search decides last-depth candidates without trials once
+//! its best has the original nest's compulsory misses. That rests on every
+//! legal reordering touching exactly the original's lines, which
+//! `legal_reorderings_touch_exactly_the_roots_lines` checks.
 
 use irlt_cachesim::{
-    simulate_nest_observed, stream_addresses, AddressMap, Cache, CacheConfig, Order, SimError,
-    SimResult,
+    lines_touched, simulate_nest_bounded, simulate_nest_observed, stream_addresses, AddressMap,
+    Cache, CacheConfig, Order, SimError, SimResult,
 };
-use irlt_core::TransformSeq;
+use irlt_core::{SeqState, TransformSeq};
+use irlt_dependence::analyze_dependences;
 use irlt_driver::demo_corpus;
+use irlt_harness::gen::gen_nest;
+use irlt_harness::Rng;
 use irlt_interp::{Executor, Memory, TraceLevel};
 use irlt_ir::{parse_nest, Expr, Loop, LoopNest, Stmt};
 use irlt_obs::Telemetry;
@@ -103,7 +114,48 @@ fn check(
         got, want,
         "{label}: streaming and reference disagree\n{nest}"
     );
+    check_bounded(label, nest, params, map, config, &want);
     (got, tel.report().counter("cachesim/fallbacks") == 1)
+}
+
+/// Asserts that a simulation bounded at `m` misses stops exactly when the
+/// whole run's misses reach `m`, and otherwise returns `want`, the whole
+/// run's result. A run that fails has no miss count: only its unbounded
+/// run (the failure) and its limit-0 run (stopped before any access) are
+/// determined.
+fn check_bounded(
+    label: &str,
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    config: CacheConfig,
+    want: &Result<SimResult, SimError>,
+) {
+    let disabled = Telemetry::disabled();
+    let bounded = |limit| simulate_nest_bounded(nest, params, map, config, limit, &disabled);
+    assert_eq!(
+        bounded(None),
+        want.clone().map(Some),
+        "{label}: no limit\n{nest}"
+    );
+    let limits = match want {
+        Ok(r) => {
+            let m = r.stats.misses;
+            vec![0, 1, m.saturating_sub(1), m, m + 1]
+        }
+        Err(_) => vec![0],
+    };
+    for limit in limits {
+        let expected = match want {
+            Ok(r) if r.stats.misses < limit => Ok(Some(r.clone())),
+            _ => Ok(None),
+        };
+        assert_eq!(
+            bounded(Some(limit)),
+            expected,
+            "{label}: miss limit {limit}\n{nest}"
+        );
+    }
 }
 
 /// A nest the streaming executor must serve: it falls back only to name
@@ -575,4 +627,90 @@ fn innermost_kernel_matches_the_reference() {
     );
     let e = check_streamed("iteration cap", &capped, &[], &map, SMALL).unwrap_err();
     assert!(e.to_string().contains("iteration cap"), "{e}");
+}
+
+/// The 64-byte lines `nest` touches, from its address stream.
+fn line_set(nest: &LoopNest, params: &[(&str, i64)], map: &AddressMap) -> BTreeSet<u64> {
+    let mut lines = BTreeSet::new();
+    stream_addresses(nest, params, map, |addr| {
+        lines.insert(addr / 64);
+    })
+    .unwrap_or_else(|e| panic!("{e}\n{nest}"));
+    lines
+}
+
+#[test]
+fn legal_reorderings_touch_exactly_the_roots_lines() {
+    // Every one- and two-step locality sequence the legality test accepts,
+    // on the locality kernels and on random nests (triangular bounds,
+    // steps of ±1 and ±2), touches exactly the lines the original does,
+    // and `lines_touched` counts them.
+    // `(label, nest, n, map)`; random nests have constant bounds.
+    let mut cases: Vec<(String, LoopNest, i64, AddressMap)> = vec![
+        (
+            "copy".into(),
+            parse_nest(COPY).unwrap(),
+            12,
+            square_map(12, &["a", "b"]),
+        ),
+        (
+            "wavefront".into(),
+            parse_nest(WAVEFRONT).unwrap(),
+            12,
+            square_map(12, &["a"]),
+        ),
+        (
+            "matmul".into(),
+            parse_nest(MATMUL).unwrap(),
+            5,
+            square_map(5, &["A", "B", "C"]),
+        ),
+    ];
+    let mut rng = Rng::new(0x25);
+    let (mut triangular, mut strided) = (0, 0);
+    for k in 0..40 {
+        let nest = gen_nest(&mut rng, 2 + k % 2);
+        let loops = nest.loops();
+        triangular += usize::from(loops.iter().any(|l| matches!(l.upper, Expr::Var(_))));
+        strided += usize::from(loops.iter().any(|l| !matches!(l.step, Expr::Const(1 | -1))));
+        let map = covering_map(&nest, &[]);
+        cases.push((format!("gen_nest #{k}"), nest, 0, map));
+    }
+    assert!(triangular > 0 && strided > 0, "{triangular} {strided}");
+
+    let catalog = MoveCatalog::locality();
+    let mut checked = 0;
+    for (label, nest, n, map) in &cases {
+        let params = &[("n", *n)];
+        let want = line_set(nest, params, map);
+        assert_eq!(
+            lines_touched(nest, params, map, 64).unwrap(),
+            want.len() as u64,
+            "{label}"
+        );
+        let deps = analyze_dependences(nest);
+        let mut frontier = vec![SeqState::root(nest, &deps)];
+        for _ in 0..2 {
+            let mut next = Vec::new();
+            for state in &frontier {
+                for t in catalog.moves(state.shape().depth()) {
+                    let Ok(child) = state.extend(&t) else {
+                        continue;
+                    };
+                    let seq = child.seq();
+                    let out = seq
+                        .apply(nest)
+                        .unwrap_or_else(|e| panic!("{label}: {seq} generates: {e}"));
+                    assert!(
+                        line_set(&out, params, map) == want,
+                        "{label}: {seq} touches other lines\n{nest}\n{out}"
+                    );
+                    checked += 1;
+                    next.push(child);
+                }
+            }
+            frontier = next;
+        }
+    }
+    assert!(checked > 1000, "only {checked} sequences");
 }
