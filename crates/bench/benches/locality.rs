@@ -7,7 +7,7 @@
 //! misses, stops each leaf's trial once it cannot beat the best.
 //! The harness measures the simulation throughput; the *miss-rate shape*
 //! (who wins, by how much) is asserted here and reported in
-//! EXPERIMENTS.md. `BENCH_25_locality.json` records the gated medians.
+//! EXPERIMENTS.md. `BENCH_29_locality.json` records the gated medians.
 
 use irlt_bench::matmul;
 use irlt_cachesim::{simulate_nest, AddressMap, CacheConfig, Order};

@@ -25,12 +25,12 @@
 //! files, unparseable baseline, or no bench lines found — which *should*
 //! fail CI because it means the perf signal silently disappeared.
 //!
-//! CI runs one step per baseline: `search/` against `BENCH_15.json`,
-//! `locality/` against `BENCH_25_locality.json`, `driver/` against
-//! `BENCH_17_driver.json`, `legality/` against `BENCH_23_legality.json`
-//! and `depmap/` against `BENCH_16_depmap.json`. Each baseline records
-//! every row its bench prints, so each row is checked exactly once. Rows
-//! a baseline does not record are skipped.
+//! CI runs one step per baseline: `search/` against
+//! `BENCH_29_search.json`, `locality/` against `BENCH_29_locality.json`,
+//! `driver/` against `BENCH_17_driver.json`, `legality/` against
+//! `BENCH_23_legality.json` and `depmap/` against `BENCH_16_depmap.json`.
+//! Each baseline records every row its bench prints, so each row is
+//! checked exactly once. Rows a baseline does not record are skipped.
 //!
 //! ```text
 //! bench_gate <oneshot.txt> <BENCH_*.json> [tolerance]

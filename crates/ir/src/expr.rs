@@ -166,7 +166,9 @@ impl Expr {
                 let Expr::Const(c1) = *c1 else { unreachable!() };
                 Expr::add(*e, Expr::Const(c2.wrapping_sub(c1)))
             }
-            (a, Expr::Const(c)) if c < 0 => Expr::Sub(Box::new(a), Box::new(Expr::Const(-c))),
+            (a, Expr::Const(c)) if c < 0 && c != i64::MIN => {
+                Expr::Sub(Box::new(a), Box::new(Expr::Const(-c)))
+            }
             (a, Expr::Neg(b)) => Expr::sub(a, *b),
             (a, b) => Expr::Add(Box::new(a), Box::new(b)),
         }
@@ -177,7 +179,7 @@ impl Expr {
         match (a, b) {
             (Expr::Const(x), Expr::Const(y)) => Expr::Const(x.wrapping_sub(y)),
             (e, Expr::Const(0)) => e,
-            (a, Expr::Const(c)) if c < 0 => Expr::add(a, Expr::Const(-c)),
+            (a, Expr::Const(c)) if c < 0 && c != i64::MIN => Expr::add(a, Expr::Const(-c)),
             (a, Expr::Neg(b)) => Expr::add(a, *b),
             (a, b) if a == b => Expr::Const(0),
             (a, b) => Expr::Sub(Box::new(a), Box::new(b)),
@@ -464,7 +466,9 @@ impl Expr {
     /// fold, equal atoms merge (`(n - 1) + (n - 1)` becomes `2*n - 2`,
     /// `jj - (n - 1)` becomes `jj - n + 1`), and non-linear subtrees
     /// (`min`, calls, divisions, …) are simplified recursively and treated
-    /// as atomic terms. The value is unchanged.
+    /// as atomic terms. The value is unchanged: an expression whose
+    /// coefficients or constant would overflow `i64` is returned
+    /// unfolded.
     ///
     /// # Examples
     ///
@@ -478,7 +482,9 @@ impl Expr {
     pub fn simplify(&self) -> Expr {
         let mut terms: Vec<(Expr, i64)> = Vec::new();
         let mut konst: i64 = 0;
-        collect_linear(self, 1, &mut terms, &mut konst);
+        if collect_linear(self, 1, &mut terms, &mut konst).is_none() {
+            return self.clone();
+        }
         terms.retain(|(_, c)| *c != 0);
         // Positive-coefficient terms first for a natural rendering
         // (`jj - n + 1` rather than `-n + jj + 1`).
@@ -569,53 +575,63 @@ impl Expr {
     }
 }
 
-/// Accumulates `mult · e` into a linear combination of atomic terms.
-fn collect_linear(e: &Expr, mult: i64, terms: &mut Vec<(Expr, i64)>, konst: &mut i64) {
+/// Accumulates `mult · e` into a linear combination of atomic terms, or
+/// returns `None` if a coefficient or the constant overflows `i64`.
+fn collect_linear(
+    e: &Expr,
+    mult: i64,
+    terms: &mut Vec<(Expr, i64)>,
+    konst: &mut i64,
+) -> Option<()> {
     match e {
-        Expr::Const(v) => *konst += mult * v,
+        Expr::Const(v) => *konst = konst.checked_add(mult.checked_mul(*v)?)?,
         Expr::Add(a, b) => {
-            collect_linear(a, mult, terms, konst);
-            collect_linear(b, mult, terms, konst);
+            collect_linear(a, mult, terms, konst)?;
+            collect_linear(b, mult, terms, konst)?;
         }
         Expr::Sub(a, b) => {
-            collect_linear(a, mult, terms, konst);
-            collect_linear(b, -mult, terms, konst);
+            collect_linear(a, mult, terms, konst)?;
+            collect_linear(b, mult.checked_neg()?, terms, konst)?;
         }
-        Expr::Neg(a) => collect_linear(a, -mult, terms, konst),
+        Expr::Neg(a) => collect_linear(a, mult.checked_neg()?, terms, konst)?,
         Expr::Mul(a, b) => match (a.as_const(), b.as_const()) {
-            (Some(c), _) => collect_linear(b, mult * c, terms, konst),
-            (_, Some(c)) => collect_linear(a, mult * c, terms, konst),
-            _ => add_term(terms, Expr::mul(a.simplify(), b.simplify()), mult),
+            (Some(c), _) => collect_linear(b, mult.checked_mul(c)?, terms, konst)?,
+            (_, Some(c)) => collect_linear(a, mult.checked_mul(c)?, terms, konst)?,
+            _ => add_term(terms, Expr::mul(a.simplify(), b.simplify()), mult)?,
         },
-        Expr::Var(_) => add_term(terms, e.clone(), mult),
-        Expr::FloorDiv(a, b) => add_term(terms, Expr::floor_div(a.simplify(), b.simplify()), mult),
-        Expr::CeilDiv(a, b) => add_term(terms, Expr::ceil_div(a.simplify(), b.simplify()), mult),
-        Expr::Mod(a, b) => add_term(terms, Expr::modulo(a.simplify(), b.simplify()), mult),
+        Expr::Var(_) => add_term(terms, e.clone(), mult)?,
+        Expr::FloorDiv(a, b) => add_term(terms, Expr::floor_div(a.simplify(), b.simplify()), mult)?,
+        Expr::CeilDiv(a, b) => add_term(terms, Expr::ceil_div(a.simplify(), b.simplify()), mult)?,
+        Expr::Mod(a, b) => add_term(terms, Expr::modulo(a.simplify(), b.simplify()), mult)?,
         Expr::Min(items) => add_term(
             terms,
             Expr::min_of(items.iter().map(Expr::simplify).collect()),
             mult,
-        ),
+        )?,
         Expr::Max(items) => add_term(
             terms,
             Expr::max_of(items.iter().map(Expr::simplify).collect()),
             mult,
-        ),
+        )?,
         Expr::Call(name, args) => add_term(
             terms,
             Expr::Call(name.clone(), args.iter().map(Expr::simplify).collect()),
             mult,
-        ),
-        Expr::ArrayRead(r) => add_term(terms, Expr::ArrayRead(r.clone()), mult),
+        )?,
+        Expr::ArrayRead(r) => add_term(terms, Expr::ArrayRead(r.clone()), mult)?,
     }
+    Some(())
 }
 
-fn add_term(terms: &mut Vec<(Expr, i64)>, atom: Expr, coeff: i64) {
+/// Adds `coeff · atom` to `terms`, or returns `None` if the atom's
+/// coefficient overflows `i64`.
+fn add_term(terms: &mut Vec<(Expr, i64)>, atom: Expr, coeff: i64) -> Option<()> {
     if let Some((_, c)) = terms.iter_mut().find(|(a, _)| *a == atom) {
-        *c += coeff;
+        *c = c.checked_add(coeff)?;
     } else {
         terms.push((atom, coeff));
     }
+    Some(())
 }
 
 /// Floor division on `i64` (round toward −∞), correct for either sign of
@@ -981,6 +997,24 @@ mod tests {
         let nf = |_: &Symbol, _: &[i64]| None;
         let e = Expr::FloorDiv(Box::new(v("x")), Box::new(v("x")));
         assert_eq!(e.eval_scalar(&zero, &nf), Err(EvalError::DivisionByZero));
+    }
+
+    #[test]
+    fn simplify_leaves_what_overflows_i64_unfolded() {
+        let max = Expr::int(i64::MAX);
+        let at = |e: &Expr, n: i64| e.eval_scalar(&|_| Some(n), &|_, _| None).unwrap();
+        // The constant -2·MAX and the coefficient MAX + 2 do not fit.
+        let konst = v("n") - max.clone() - max.clone();
+        let coeff = max.clone() * v("n") + Expr::int(2) * v("n") - Expr::int(3) * v("n");
+        for (e, n, value) in [(konst, i64::MAX, -i64::MAX), (coeff, 1, i64::MAX - 1)] {
+            assert_eq!(e.simplify(), e);
+            assert_eq!(at(&e.simplify(), n), value, "{e}");
+        }
+        // A constant of exactly i64::MIN folds, but has no negation to
+        // render as a subtraction.
+        let e = (v("n") - max - Expr::int(1)).simplify();
+        assert_eq!(e, v("n") + Expr::int(i64::MIN));
+        assert_eq!(at(&e, i64::MAX), -1);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! uniform test stays the reference oracle: the unit tests replay every
 //! `(frontier node, move)` pair of two deep searches through it and
 //! require the same verdict and shape. A search runs serially on the
-//! calling thread, and each depth's outcomes are merged in (state, move)
-//! order; parallelism is the batch pool's business, across jobs
-//! (`irlt_driver::run_batch`), not within one search.
+//! calling thread, one pass per depth: each `(node, move)` candidate is
+//! evaluated and merged into the counters, the dedup set, the best and
+//! the next frontier before the next candidate is evaluated. Parallelism
+//! is the batch pool's business, across jobs (`irlt_driver::run_batch`),
+//! not within one search.
 //!
 //! The frontier is zero-copy. A node is its `SeqState` plus its score:
 //! the sequence and shape stay behind the state's `Arc`s (the cache's
@@ -43,16 +45,17 @@
 //! body), so a repeated shape never beats the best.
 //!
 //! The last depth is also bounded. A leaf matters only if it scores
-//! strictly above the best at the start of the depth: the merge replaces
-//! the best only on a strictly greater score, and the best only rises
-//! while it merges. When that best already reaches the goal's ceiling
-//! ([`Goal::ceiling`]: for locality, minus the lines the original nest
-//! touches, its compulsory misses) no leaf can, so each is decided by
+//! strictly above the best so far: the best only rises, and it is
+//! replaced only by a strictly greater score. When the best already
+//! reaches the goal's ceiling ([`Goal::ceiling`], computed once when the
+//! depth starts: for locality, minus the lines the original nest touches,
+//! its compulsory misses) no leaf can, so each is decided by
 //! [`SeqState::admits`] alone, with no code and no trial. Otherwise a
 //! locality leaf's trial stops as soon as its misses reach the best's
-//! ([`Goal::score_above`]). A leaf decided either way still counts as
-//! explored and legal; interior nodes always score exactly, because the
-//! beam order depends on their scores.
+//! ([`Goal::score_above`]), so a trial that finishes raises the best. A
+//! leaf decided either way still counts as explored and legal; interior
+//! nodes always score exactly, because the beam order depends on their
+//! scores.
 
 use crate::cancel::CancelToken;
 use crate::goal::{Goal, Trial};
@@ -89,7 +92,7 @@ pub struct SearchConfig {
     /// never influences control flow. With an enabled handle the search
     /// records per-depth beam statistics (`search/depth.N/*`: candidates
     /// generated, rejection taxonomy, shape dedups, beam occupancy, the
-    /// goal-score distribution), expand/merge timings, and — through
+    /// goal-score distribution), per-depth timings, and — through
     /// [`SeqState`] — the legality-cache and dependence-mapping counters.
     pub telemetry: Telemetry,
     /// Cross-nest shared legality cache: when set, every candidate
@@ -240,9 +243,6 @@ enum Outcome {
     /// Legal at the last depth, and certain not to beat the best: decided
     /// without a full trial.
     Bounded(Bound),
-    /// The cancel token fired before this job was evaluated: not counted
-    /// anywhere (the search is winding down).
-    Cancelled,
 }
 
 /// How a leaf was shown not to beat the best (see [`LastDepth`]).
@@ -254,27 +254,26 @@ enum Bound {
     Cutoff,
 }
 
-/// What the last depth knows before it starts, so that a leaf is only
-/// scored as far as it could still matter.
+/// What the last depth knows when it starts, so that a leaf is only
+/// scored as far as it could still beat the best so far.
 #[derive(Clone, Copy, Debug)]
 struct LastDepth {
-    /// The best score at the start of the depth. The merge replaces the
-    /// best only on a strictly greater score and the best only rises, so
-    /// a leaf that scores at most this never replaces it.
-    bound: f64,
-    /// `bound` reaches the goal's ceiling: no legal leaf can score above
-    /// it.
-    settled: bool,
+    /// The goal's ceiling for the searched nest ([`Goal::ceiling`]).
+    ceiling: Option<f64>,
 }
 
 impl LastDepth {
-    /// The last depth of a search of `nest` whose best score is `best`
-    /// when the depth starts.
-    fn new(goal: &Goal, nest: &LoopNest, best: f64) -> LastDepth {
+    /// The last depth of a search of `nest`.
+    fn new(goal: &Goal, nest: &LoopNest) -> LastDepth {
         LastDepth {
-            bound: best,
-            settled: goal.ceiling(nest).is_some_and(|ceiling| best >= ceiling),
+            ceiling: goal.ceiling(nest),
         }
+    }
+
+    /// Whether `best` reaches the ceiling, so that no legal leaf can
+    /// score above it.
+    fn settled(self, best: f64) -> bool {
+        self.ceiling.is_some_and(|ceiling| best >= ceiling)
     }
 }
 
@@ -292,14 +291,16 @@ fn reject_kind(reason: &IllegalReason) -> RejectKind {
 struct EvalCtx<'a> {
     goal: &'a Goal,
     tel: &'a Telemetry,
-    cancel: Option<&'a CancelToken>,
     /// `Some` at the search's last depth: its legal candidates are never
     /// extended, so they are decided and scored without a child state,
     /// and only as far as they could still beat the best.
     leaf: Option<LastDepth>,
 }
 
-fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>) -> Outcome {
+/// Evaluates `mv` on `parent`. `best` is the best score so far: a leaf
+/// that scores at most it can never replace the best, which is replaced
+/// only by a strictly greater score.
+fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>, best: f64) -> Outcome {
     let child = match ctx.leaf {
         Some(_) => parent.state.admits(mv).map(|()| None),
         None => parent.state.extend(mv).map(Some),
@@ -310,7 +311,7 @@ fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>) -> Outcom
         Err(ExtendError::Illegal(reason)) => return Outcome::Tested(reject_kind(&reason)),
         Ok(child) => child,
     };
-    if ctx.leaf.is_some_and(|last| last.settled) {
+    if ctx.leaf.is_some_and(|last| last.settled(best)) {
         return Outcome::Bounded(Bound::Floor);
     }
     let (score, nest) = match ctx.goal {
@@ -319,7 +320,7 @@ fn evaluate<M: Move + ?Sized>(parent: &Node, mv: &M, ctx: EvalCtx<'_>) -> Outcom
         // child's nest exactly.
         Goal::Locality(_) => {
             let parent_nest = parent.nest.as_ref().expect("locality nodes carry a nest");
-            let bound = ctx.leaf.map_or(f64::NEG_INFINITY, |last| last.bound);
+            let bound = ctx.leaf.map_or(f64::NEG_INFINITY, |_| best);
             match template.apply_to(parent_nest) {
                 Ok(out) => match ctx.goal.score_above(&out, ctx.tel, bound) {
                     Trial::Scored(score) => (score, Some(out)),
@@ -362,22 +363,6 @@ fn leaf_candidate(parent: &Node, template: &Template, score: f64) -> Candidate {
             .apply_to(parent.state.shape())
             .expect("an admitted template generates"),
     }
-}
-
-/// Evaluates all `(state, move)` jobs, in job order.
-fn expand(frontier: &[Node], jobs: &[(usize, &KeyedMove)], ctx: EvalCtx<'_>) -> Vec<Outcome> {
-    jobs.iter()
-        .map(|(si, mv)| {
-            // Poll between evaluations, never within one: a fired token
-            // drains the remaining jobs as `Cancelled` so the depth winds
-            // down promptly but no work is torn mid-step.
-            if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
-                Outcome::Cancelled
-            } else {
-                evaluate(&frontier[*si], *mv, ctx)
-            }
-        })
-        .collect()
 }
 
 /// Searches for the best legal transformation of `nest` under `goal`.
@@ -427,13 +412,15 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     // search (one interner lock for the whole list, none per probe) and
     // borrowed by every frontier node of that depth.
     let mut moves: HashMap<usize, Vec<KeyedMove>> = HashMap::new();
-
-    for depth in 0..config.max_steps {
-        if config
+    let cancelled = || {
+        config
             .cancel
             .as_ref()
             .is_some_and(CancelToken::is_cancelled)
-        {
+    };
+
+    for depth in 0..config.max_steps {
+        if cancelled() {
             timed_out = true;
             break;
         }
@@ -443,87 +430,71 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
                 .entry(d)
                 .or_insert_with(|| node.state.key_moves(config.catalog.moves(d)));
         }
-        let jobs: Vec<(usize, &KeyedMove)> = frontier
-            .iter()
-            .enumerate()
-            .flat_map(|(si, node)| {
-                moves[&node.state.shape().depth()]
-                    .iter()
-                    .map(move |t| (si, t))
-            })
-            .collect();
         let ctx = EvalCtx {
             goal,
             tel,
-            cancel: config.cancel.as_ref(),
-            leaf: (depth + 1 == config.max_steps).then(|| LastDepth::new(goal, nest, best.score)),
+            leaf: (depth + 1 == config.max_steps).then(|| LastDepth::new(goal, nest)),
         };
-        let expand_start = tel.is_enabled().then(Instant::now);
-        let outcomes = expand(&frontier, &jobs, ctx);
-        let merge_start = tel.is_enabled().then(Instant::now);
+        let start = tel.is_enabled().then(Instant::now);
         // Per-depth beam statistics, accumulated in plain locals so the
-        // merge loop never touches the sink, then recorded once per depth.
-        let (mut n_arity, mut n_pre, mut n_codegen, mut n_lexneg) = (0u64, 0u64, 0u64, 0u64);
-        let (mut n_unscored, mut n_legal, mut n_deduped, mut n_floor) = (0u64, 0u64, 0u64, 0u64);
+        // loop never touches the sink, then recorded once per depth. The
+        // buckets partition the candidates, and they give the totals.
+        let (mut n_candidates, mut n_arity, mut n_pre) = (0u64, 0u64, 0u64);
+        let (mut n_codegen, mut n_lexneg, mut n_unscored) = (0u64, 0u64, 0u64);
+        let (mut n_legal, mut n_deduped, mut n_floor) = (0u64, 0u64, 0u64);
         let mut next: Vec<Node> = Vec::new();
-        for (outcome, &(si, mv)) in outcomes.into_iter().zip(&jobs) {
-            match outcome {
-                Outcome::Rejected => n_arity += 1,
-                Outcome::Tested(kind) => {
-                    explored += 1;
-                    match kind {
-                        RejectKind::Precondition => n_pre += 1,
-                        RejectKind::CodeGen => n_codegen += 1,
-                        RejectKind::LexNegative => n_lexneg += 1,
-                    }
+        // Each candidate is evaluated and merged before the next one, in
+        // (node, move) order, so a leaf is bounded by the best so far.
+        'frontier: for node in &frontier {
+            for mv in &moves[&node.state.shape().depth()] {
+                // Poll between evaluations, never within one: a fired
+                // token ends the depth promptly, but no work is torn
+                // mid-step.
+                if cancelled() {
+                    timed_out = true;
+                    break 'frontier;
                 }
-                Outcome::LegalUnscored => {
-                    explored += 1;
-                    legal += 1;
-                    n_unscored += 1;
-                }
-                Outcome::Legal(node) => {
-                    explored += 1;
-                    legal += 1;
-                    n_legal += 1;
-                    if !seen_shapes.insert(node.state.shape_key()) {
-                        n_deduped += 1;
-                        continue;
+                n_candidates += 1;
+                match evaluate(node, mv, ctx, best.score) {
+                    Outcome::Rejected => n_arity += 1,
+                    Outcome::Tested(RejectKind::Precondition) => n_pre += 1,
+                    Outcome::Tested(RejectKind::CodeGen) => n_codegen += 1,
+                    Outcome::Tested(RejectKind::LexNegative) => n_lexneg += 1,
+                    Outcome::LegalUnscored => n_unscored += 1,
+                    Outcome::Legal(child) => {
+                        n_legal += 1;
+                        if !seen_shapes.insert(child.state.shape_key()) {
+                            n_deduped += 1;
+                            continue;
+                        }
+                        if child.score > best.score {
+                            best = child.candidate();
+                        }
+                        next.push(child);
                     }
-                    if node.score > best.score {
-                        best = node.candidate();
+                    // A leaf skips the shape dedup: a shape seen before was
+                    // compared with `best` when it was first inserted, and
+                    // equal shapes score equally, so it cannot beat `best`.
+                    Outcome::Leaf(score) => {
+                        n_legal += 1;
+                        if score > best.score {
+                            best = leaf_candidate(node, mv.template(), score);
+                        }
                     }
-                    next.push(node);
+                    Outcome::Bounded(Bound::Floor) => n_floor += 1,
+                    // A leaf whose trial stopped at the cutoff was
+                    // simulated and is counted with the scored ones.
+                    Outcome::Bounded(Bound::Cutoff) => n_legal += 1,
                 }
-                // A leaf skips the shape dedup: a shape seen before was
-                // compared with `best` when it was first inserted, and
-                // equal shapes score equally, so it cannot beat `best`.
-                Outcome::Leaf(score) => {
-                    explored += 1;
-                    legal += 1;
-                    n_legal += 1;
-                    if score > best.score {
-                        best = leaf_candidate(&frontier[si], mv.template(), score);
-                    }
-                }
-                // A leaf whose trial stopped at the cutoff was simulated
-                // and is counted with the scored ones.
-                Outcome::Bounded(bound) => {
-                    explored += 1;
-                    legal += 1;
-                    match bound {
-                        Bound::Floor => n_floor += 1,
-                        Bound::Cutoff => n_legal += 1,
-                    }
-                }
-                Outcome::Cancelled => timed_out = true,
             }
         }
+        explored += (n_candidates - n_arity) as usize;
+        legal += (n_legal + n_unscored + n_floor) as usize;
         next.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
         next.truncate(config.beam_width);
-        if let (Some(t0), Some(t1)) = (expand_start, merge_start) {
+        if let Some(t0) = start {
             let d = format!("search/depth.{depth}");
-            tel.count(&format!("{d}/candidates"), jobs.len() as u64);
+            tel.count(&format!("{d}/candidates"), n_candidates);
             tel.count(&format!("{d}/arity_rejected"), n_arity);
             tel.count(&format!("{d}/precondition_rejected"), n_pre);
             tel.count(&format!("{d}/codegen_rejected"), n_codegen);
@@ -536,8 +507,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             for node in &next {
                 tel.observe("search/score", node.score);
             }
-            tel.record_span("search/expand", t1.duration_since(t0));
-            tel.record_span("search/merge", t1.elapsed());
+            tel.record_span("search/expand", t0.elapsed());
         }
         if timed_out || next.is_empty() {
             break;
@@ -819,7 +789,6 @@ mod tests {
             Outcome::Legal(node) => legal(node.candidate()),
             Outcome::Leaf(score) => legal(leaf_candidate(parent, template, score)),
             Outcome::Bounded(_) => unreachable!("bounded leaves are checked on their own"),
-            Outcome::Cancelled => unreachable!("no cancel token"),
         }
     }
 
@@ -867,6 +836,8 @@ mod tests {
         floor: usize,
         /// Leaves whose trial stopped at the cutoff.
         cutoff: usize,
+        /// Leaves that raised the best.
+        rises: usize,
     }
 
     /// Walks the search's frontier depth by depth (same dedup, ordering,
@@ -874,7 +845,7 @@ mod tests {
     /// [`search`]) and checks every `(frontier node, move)` pair against
     /// [`reference_evaluate`]. A scored pair must match it exactly; a
     /// bounded leaf is accepted only if the full reference trial could not
-    /// beat the bound: it is unscorable or scores at most the bound.
+    /// beat the best so far: it is unscorable or scores at most the best.
     fn check_every_pair_against_is_legal(nest: &LoopNest, goal: &Goal, cfg: &SearchConfig) -> Walk {
         let deps = analyze_dependences(nest);
         let tel = Telemetry::disabled();
@@ -883,30 +854,28 @@ mod tests {
         let mut walk = Walk::default();
         let mut seen = HashSet::new();
         for depth in 0..cfg.max_steps {
-            let last = (depth + 1 == cfg.max_steps).then(|| LastDepth::new(goal, nest, best));
             let ctx = EvalCtx {
                 goal,
                 tel: &tel,
-                cancel: None,
-                leaf: last,
+                leaf: (depth + 1 == cfg.max_steps).then(|| LastDepth::new(goal, nest)),
             };
             let mut next = Vec::new();
             for node in &frontier {
                 for t in cfg.catalog.moves(node.state.shape().depth()) {
                     let expected =
                         reference_evaluate(node.state.seq(), t.clone(), nest, &deps, goal);
-                    let outcome = evaluate(node, &t, ctx);
+                    let outcome = evaluate(node, &t, ctx, best);
                     if let Outcome::Bounded(kind) = outcome {
-                        let bound = last.expect("only leaves are bounded").bound;
+                        assert!(ctx.leaf.is_some(), "only leaves are bounded");
                         assert!(
                             match &expected {
                                 Verdict::LegalUnscored => true,
                                 Verdict::Legal { score_bits, .. } => {
-                                    f64::from_bits(*score_bits) <= bound
+                                    f64::from_bits(*score_bits) <= best
                                 }
                                 _ => false,
                             },
-                            "{} + {t}: {kind:?} leaf, bound {bound}, reference {expected:?}",
+                            "{} + {t}: {kind:?} leaf, best {best}, reference {expected:?}",
                             node.state.seq()
                         );
                         walk.explored += 1;
@@ -930,7 +899,11 @@ mod tests {
                         Verdict::Legal { .. } | Verdict::LegalUnscored
                     ));
                     if let Verdict::Legal { score_bits, .. } = got {
-                        best = best.max(f64::from_bits(score_bits));
+                        let score = f64::from_bits(score_bits);
+                        if score > best {
+                            best = score;
+                            walk.rises += usize::from(ctx.leaf.is_some());
+                        }
                     }
                 }
             }
@@ -1111,9 +1084,10 @@ mod tests {
         let (_, src, n, arrays, size_bytes) = LOCALITY_PINS[2];
         let nest = parse_nest(src).unwrap();
         let goal = locality_goal_sized(n, arrays, size_bytes);
-        assert!(LastDepth::new(&goal, &nest, -256.0).settled);
-        assert!(!LastDepth::new(&goal, &nest, -257.0).settled);
-        assert!(!LastDepth::new(&Goal::OuterParallel, &nest, f64::INFINITY).settled);
+        let last = LastDepth::new(&goal, &nest);
+        assert!(last.settled(-256.0));
+        assert!(!last.settled(-257.0));
+        assert!(!LastDepth::new(&Goal::OuterParallel, &nest).settled(f64::INFINITY));
     }
 
     #[test]
@@ -1141,6 +1115,37 @@ mod tests {
             r.legal as u64 - interior
         );
         assert_eq!(t.counter("search/depth.1/legal"), 0, "{t:?}");
+    }
+
+    #[test]
+    fn every_finished_leaf_trial_raises_the_best() {
+        // A leaf's trial stops once it cannot beat the best so far, so a
+        // last-depth trial that finishes is one that raised the best.
+        for (label, src, n, arrays, size_bytes) in LOCALITY_PINS {
+            let nest = parse_nest(src).unwrap();
+            let goal = locality_goal_sized(n, arrays, size_bytes);
+            let tel = Telemetry::enabled();
+            let cfg = SearchConfig {
+                telemetry: tel.clone(),
+                ..locality_config()
+            };
+            search(&nest, &analyze_dependences(&nest), &goal, &cfg);
+            let t = tel.report();
+            // Every trial before the last depth finishes: the root's and
+            // one per scored depth-0 candidate.
+            let finished =
+                t.counter("cachesim/simulations") - 1 - t.counter("search/depth.0/legal");
+            // A cut leaf is counted under `legal` and `cachesim/bounded`.
+            let scored = t.counter("search/depth.1/legal") - t.counter("cachesim/bounded");
+            assert_eq!(finished, scored, "{label}: {t:?}");
+            let walk = check_every_pair_against_is_legal(&nest, &goal, &locality_config());
+            assert_eq!(finished, walk.rises as u64, "{label}: {walk:?}");
+            if label == "matmul10" {
+                // Its best is a two-step leaf, and the only leaf whose
+                // trial finishes.
+                assert_eq!(finished, 1, "{label}: {t:?}");
+            }
+        }
     }
 
     #[test]
@@ -1184,18 +1189,15 @@ mod tests {
             &Goal::OuterParallel,
             &tel,
         );
-        let last = LastDepth {
-            bound: f64::NEG_INFINITY,
-            settled: false,
-        };
+        let last = LastDepth { ceiling: None };
         for leaf in [None, Some(last)] {
             let ctx = EvalCtx {
                 goal: &Goal::OuterParallel,
                 tel: &tel,
-                cancel: None,
                 leaf,
             };
-            let outcome = evaluate(&root, &Template::parallelize(vec![true, false]), ctx);
+            let template = Template::parallelize(vec![true, false]);
+            let outcome = evaluate(&root, &template, ctx, f64::NEG_INFINITY);
             assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
         }
     }

@@ -199,3 +199,23 @@ fn table2_conservatism_on_skewed_unimodular_is_documented() {
     assert_eq!(outcome, CrossCheckOutcome::Conservative);
     assert_eq!(verdict, OracleVerdict::Legal);
 }
+
+/// Valid `.nest` text whose constants sit near the `i64` limit: a
+/// two-step default-catalog search once panicked a debug build in
+/// `Expr::simplify` (`attempt to multiply with overflow`) while
+/// normalizing the inner loop's origin. Simplification now returns an
+/// expression it cannot fold in `i64` unfolded, with the same value.
+#[test]
+fn search_survives_bounds_near_the_i64_limit() {
+    let nest = parse_nest(
+        "do i = -9223372036854775807, n, 3\n do j = i, n, 5\n  a(i, j) = 0\n enddo\nenddo",
+    )
+    .unwrap();
+    let deps = analyze_dependences(&nest);
+    let cfg = SearchConfig {
+        max_steps: 2,
+        ..SearchConfig::default()
+    };
+    let r = search(&nest, &deps, &Goal::OuterParallel, &cfg);
+    assert_eq!((r.explored, r.legal), (180, 100), "{r}");
+}

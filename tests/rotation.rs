@@ -4,7 +4,7 @@
 //! The rotation contract the serve loop leans on:
 //!
 //! * **Tear-free**: every generation file on disk is a complete,
-//!   checksummed `irlt-cache/v1` snapshot at every instant — even
+//!   checksummed `irlt-cache/v3` snapshot at every instant — even
 //!   while inserts race the save and rotations race each other —
 //!   because saves go to a temp sibling and land by atomic rename.
 //! * **Fixpoint**: save → load → save reproduces the snapshot byte
